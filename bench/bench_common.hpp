@@ -32,10 +32,6 @@
 //   --jobs=N            sweep worker threads; 0 (default) = one per
 //                       hardware thread, 1 = serial reference path.
 //                       Results are byte-identical for every value.
-//   --exec=thread|fork  sweep execution backend (default thread). fork
-//                       snapshots shared pre-attack prefixes and finishes
-//                       each point in a COW child (Linux only; results
-//                       byte-identical to thread).
 //   --csv=PATH          also write the table as CSV
 //   --ci                print 95% confidence half-widths
 //   --trace=PREFIX      JSONL trace per sweep run, named
@@ -94,10 +90,6 @@ inline experiment::SweepOptions sweep_options(const Flags& flags) {
       flags.get_double_list("lambdas", default_lambdas()),
       static_cast<std::uint32_t>(flags.get_int("reps", 5)));
   options.jobs = static_cast<unsigned>(flags.get_int("jobs", 0));
-  if (const std::optional<experiment::SweepExec> exec =
-          experiment::parse_exec(flags.get_string("exec", "thread"))) {
-    options.exec = *exec;
-  }
   // Same per-run tracing the CLI sweep offers (one suffixed file per run,
   // never shared across workers); tracing does not change any measured
   // metric, only wall-clock time.

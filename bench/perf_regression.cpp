@@ -9,12 +9,7 @@
 //   BENCH_sweep.json   the full Fig-6 sweep wall clock, serial (--jobs=1)
 //                      versus parallel (--jobs=N), the speedup, and
 //                      whether the two legs produced byte-identical
-//                      figure tables + CSV. Plus a "warm_start" section:
-//                      an attack-parameter sweep (identical pre-attack
-//                      prefixes, divergent waves) timed under
-//                      --exec=thread and --exec=fork, the fork speedup,
-//                      and whether the two exec modes produced
-//                      byte-identical cell aggregates.
+//                      figure tables + CSV.
 //   BENCH_scale.json   the flood fan-out + attack-churn scale matrix:
 //                      mesh/torus/random topologies at N in {25, 400,
 //                      2500, 10000}, each cell a PUSH-flood-heavy run
@@ -50,13 +45,6 @@
 //   --scale-out=PATH    default BENCH_scale.json
 //   --obs-out=PATH      default BENCH_obs.json
 //   --skip-kernel / --skip-sweep / --skip-scale / --skip-obs
-//   --skip-warm         skip the warm-start fork-vs-thread section
-//   --warm-lambda=L     arrival rate of the attack sweep (default 6)
-//   --warm-duration=T   simulated seconds per warm-start run (default 300;
-//                       waves land at 0.8 T, so ~80% of each run is the
-//                       shared prefix the fork executor snapshots)
-//   --warm-sets=K       attack schedules swept (default 8)
-//   --warm-reps=R       replications per cell (default 2)
 //   --min-time=S        minimum seconds per kernel measurement (default 0.4)
 //   --scale-n=25,400,2500,10000   node counts for the scale matrix
 //   --scale-topos=mesh,torus,random
@@ -119,7 +107,6 @@
 #include "experiment/figures.hpp"
 #include "experiment/simulation.hpp"
 #include "experiment/sweep.hpp"
-#include "experiment/warm_start.hpp"
 #include "obs/event_store.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/invariants.hpp"
@@ -289,113 +276,6 @@ std::string render_sweep(const std::vector<experiment::SweepCell>& cells) {
   return os.str();
 }
 
-/// Every aggregate of every cell, rendered to one exact string — the
-/// identity gate between the thread and fork exec modes: warm-start
-/// snapshotting must not move a single sample of any Welford accumulator
-/// or any summed counter.
-std::string cells_fingerprint(const std::vector<experiment::SweepCell>& cells) {
-  std::ostringstream os;
-  os << std::setprecision(17);
-  for (const experiment::SweepCell& cell : cells) {
-    os << proto::to_string(cell.kind) << '|' << cell.lambda << '|'
-       << cell.attack_set;
-    for (const OnlineStats* stats :
-         {&cell.admission_probability, &cell.total_messages,
-          &cell.messages_per_admitted, &cell.migration_rate,
-          &cell.mean_occupancy, &cell.evacuation_success}) {
-      os << '|' << stats->count() << ':' << stats->mean() << ':'
-         << stats->min() << ':' << stats->max() << ':' << stats->variance();
-    }
-    os << '|' << metrics_fingerprint(cell.summed) << '\n';
-  }
-  return os.str();
-}
-
-/// The warm-start bench grid: one lambda, three protocols, K single-wave
-/// attack schedules of growing severity. Every (protocol, rep) slice
-/// shares one pre-attack prefix across the K sets — the shape the fork
-/// executor exists for.
-experiment::SweepOptions warm_sweep_options(const Flags& flags,
-                                            double duration,
-                                            std::size_t max_victims) {
-  experiment::SweepOptions options;
-  options.lambdas = {flags.get_double("warm-lambda", 6.0)};
-  options.protocols = {proto::ProtocolKind::kRealtor,
-                       proto::ProtocolKind::kAdaptivePull,
-                       proto::ProtocolKind::kPurePush};
-  options.replications =
-      static_cast<std::uint32_t>(flags.get_int("warm-reps", 2));
-  options.jobs = static_cast<unsigned>(flags.get_int("jobs", 0));
-  const std::int64_t sets = flags.get_int("warm-sets", 8);
-  for (std::int64_t k = 0; k < sets; ++k) {
-    experiment::AttackWave wave;
-    wave.time = 0.8 * duration;
-    // Growing severity, capped at the topology size — a wave cannot
-    // kill more nodes than exist.
-    wave.count = std::min(static_cast<std::size_t>(2 + 2 * k), max_victims);
-    wave.grace = 1.0;
-    wave.outage = 0.15 * duration;
-    options.attack_sets.push_back({wave});
-  }
-  return options;
-}
-
-struct WarmBenchResult {
-  std::size_t runs = 0;
-  std::size_t classes = 0;
-  double thread_seconds = 0.0;
-  double fork_seconds = 0.0;
-  double speedup = 0.0;
-  bool identical = false;
-  bool ran = false;
-};
-
-WarmBenchResult run_warm_bench(const Flags& flags) {
-  WarmBenchResult result;
-  experiment::ScenarioConfig config = benchutil::base_config(flags);
-  config.duration = flags.get_double("warm-duration", 300.0);
-  experiment::SweepOptions options = warm_sweep_options(
-      flags, config.duration,
-      static_cast<std::size_t>(config.topology.node_count()));
-  result.runs = experiment::sweep_run_ids(options).size();
-  result.classes =
-      experiment::plan_warm_start(
-          experiment::sweep_point_configs(config, options))
-          .size();
-  std::cout << "warm-start sweep: " << options.protocols.size()
-            << " protocols x " << options.attack_sets.size()
-            << " attack sets x " << options.replications << " reps = "
-            << result.runs << " runs, " << result.classes
-            << " classes, duration=" << config.duration << " s\n";
-
-  options.exec = experiment::SweepExec::kThread;
-  const Clock::time_point thread_start = Clock::now();
-  const auto thread_cells = experiment::run_sweep(config, options);
-  result.thread_seconds = seconds_since(thread_start);
-  std::cout << "  exec=thread: " << result.thread_seconds << " s\n";
-
-  options.exec = experiment::SweepExec::kFork;
-  const Clock::time_point fork_start = Clock::now();
-  const auto fork_cells = experiment::run_sweep(config, options);
-  result.fork_seconds = seconds_since(fork_start);
-  std::cout << "  exec=fork:   " << result.fork_seconds << " s"
-            << (experiment::fork_exec_supported()
-                    ? ""
-                    : " (fork unsupported; ran as threads)")
-            << '\n';
-
-  result.identical =
-      cells_fingerprint(thread_cells) == cells_fingerprint(fork_cells);
-  result.speedup = result.fork_seconds > 0.0
-                       ? result.thread_seconds / result.fork_seconds
-                       : 0.0;
-  result.ran = true;
-  std::cout << "  fork speedup: " << result.speedup << "x, identical: "
-            << (result.identical ? "yes" : "NO — determinism violation")
-            << '\n';
-  return result;
-}
-
 int run_sweep_bench(const Flags& flags) {
   const experiment::ScenarioConfig config = benchutil::base_config(flags);
   experiment::SweepOptions options = benchutil::sweep_options(flags);
@@ -428,11 +308,6 @@ int run_sweep_bench(const Flags& flags) {
   std::cout << "speedup: " << speedup << "x, identical: "
             << (identical ? "yes" : "NO — determinism violation") << '\n';
 
-  WarmBenchResult warm;
-  if (!flags.get_bool("skip-warm", false)) {
-    warm = run_warm_bench(flags);
-  }
-
   const std::string path = flags.get_string("sweep-out", "BENCH_sweep.json");
   std::ofstream out(path);
   if (!out) {
@@ -448,21 +323,8 @@ int run_sweep_bench(const Flags& flags) {
       << ",\n  \"serial_seconds\": " << serial_seconds
       << ",\n  \"parallel_seconds\": " << parallel_seconds
       << ",\n  \"speedup\": " << speedup
-      << ",\n  \"identical\": " << (identical ? "true" : "false");
-  if (warm.ran) {
-    out << ",\n  \"warm_start\": {\n    \"runs\": " << warm.runs
-        << ",\n    \"classes\": " << warm.classes
-        << ",\n    \"fork_supported\": "
-        << (experiment::fork_exec_supported() ? "true" : "false")
-        << ",\n    \"thread_seconds\": " << warm.thread_seconds
-        << ",\n    \"fork_seconds\": " << warm.fork_seconds
-        << ",\n    \"speedup\": " << warm.speedup
-        << ",\n    \"identical\": " << (warm.identical ? "true" : "false")
-        << "\n  }";
-  }
-  out << "\n}\n";
+      << ",\n  \"identical\": " << (identical ? "true" : "false") << "\n}\n";
   std::cout << "sweep wall clock -> " << path << '\n';
-  if (warm.ran && !warm.identical) return 2;
   return identical ? 0 : 2;
 }
 

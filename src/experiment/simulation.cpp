@@ -399,40 +399,6 @@ void Simulation::schedule_attacks(const std::vector<AttackWave>& waves) {
   }
 }
 
-std::uint32_t Simulation::attack_event_count(
-    const std::vector<AttackWave>& waves, bool with_listener) {
-  std::uint64_t events = 0;
-  for (const AttackWave& wave : waves) {
-    // Per victim: solicit + evacuate under a grace period, the kill, and
-    // the restore when an outage ends. Plus one wave-listener event.
-    const std::uint64_t per_victim = (wave.grace > 0.0 ? 2u : 0u) + 1u +
-                                     (wave.outage > 0.0 ? 1u : 0u);
-    events += per_victim * wave.count + (with_listener ? 1u : 0u);
-  }
-  return static_cast<std::uint32_t>(events);
-}
-
-void Simulation::defer_attacks(std::uint32_t reserved_events) {
-  REALTOR_ASSERT_MSG(!begun_, "defer_attacks must precede begin_run");
-  REALTOR_ASSERT_MSG(config_.attacks.empty(),
-                     "defer_attacks replaces configured attacks");
-  attacks_deferred_ = true;
-  deferred_reserve_ = reserved_events;
-}
-
-void Simulation::arm_attacks(const std::vector<AttackWave>& waves) {
-  REALTOR_ASSERT_MSG(attacks_deferred_ && begun_ && !finished_,
-                     "arm_attacks needs a deferred block and a begun run");
-  const std::uint32_t needed =
-      attack_event_count(waves, attack_wave_listener_ != nullptr);
-  REALTOR_ASSERT_MSG(needed <= deferred_reserve_,
-                     "reserved attack block too small for these waves");
-  engine_.use_reserved_seqs(reserved_first_, needed);
-  schedule_attacks(waves);
-  engine_.end_reserved_seqs();
-  attacks_deferred_ = false;
-}
-
 const RunMetrics& Simulation::run() {
   begin_run();
   return finish_run();
@@ -445,15 +411,7 @@ void Simulation::begin_run() {
   for (auto& protocol : protocols_) {
     protocol->start();
   }
-  if (attacks_deferred_) {
-    // Hold the attack events' tie-break positions open; arm_attacks()
-    // fills them in later. Every allocation after this point shifts by the
-    // same amount relative to an unforked run, so relative order — the
-    // only thing the tie-break consumes — is preserved.
-    reserved_first_ = engine_.reserve_seqs(deferred_reserve_);
-  } else {
-    schedule_attacks(config_.attacks);
-  }
+  schedule_attacks(config_.attacks);
   if (config_.elusiveness.enabled) {
     engine_.schedule_in(config_.elusiveness.period,
                         [this] { elusive_round(); });

@@ -60,37 +60,18 @@ class Simulation {
   /// Runs the configured duration and returns the collected metrics.
   const RunMetrics& run();
 
-  /// Phased execution for the warm-start executor; run() is exactly
+  /// Phased execution for callers that inspect the world between phases
+  /// (e.g. counting deliveries between liveness changes); run() is exactly
   /// begin_run() + finish_run(). begin_run() performs the full t=0
   /// schedule (protocols, attacks, samplers, arrivals); run_prefix(t)
-  /// advances the world to just before `t` (the snapshot barrier — events
-  /// at exactly `t` stay pending); finish_run() runs the remainder and
-  /// finalizes metrics. Splitting a run this way is observationally
-  /// identical to run(): the engine fires the same events in the same
-  /// order either way.
+  /// advances the world to just before `t` (events at exactly `t` stay
+  /// pending) and may be called repeatedly with nondecreasing `t`;
+  /// finish_run() runs the remainder and finalizes metrics. Splitting a
+  /// run this way is observationally identical to run(): the engine fires
+  /// the same events in the same order either way.
   void begin_run();
   void run_prefix(SimTime t);
   const RunMetrics& finish_run();
-
-  /// Warm-start support: instead of scheduling config().attacks (which
-  /// must be empty), begin_run() reserves `reserved_events` engine
-  /// sequence numbers at the point where the attack events would have been
-  /// scheduled. arm_attacks() later (typically after fork, before
-  /// finish_run()) schedules a divergent wave set into that block, so the
-  /// armed events land in exactly the equal-time tie-break positions an
-  /// unforked run of those waves would have used. Call before begin_run().
-  void defer_attacks(std::uint32_t reserved_events);
-
-  /// Schedules `waves` into the block reserved by defer_attacks(). The
-  /// block must hold at least attack_event_count(waves, ...) sequences.
-  void arm_attacks(const std::vector<AttackWave>& waves);
-
-  /// Engine events schedule_attacks() creates for `waves`; `with_listener`
-  /// accounts for the per-wave attack_wave_listener event. This is the
-  /// reservation size defer_attacks() needs (maximized over a warm-start
-  /// class's members).
-  static std::uint32_t attack_event_count(const std::vector<AttackWave>& waves,
-                                          bool with_listener);
 
   /// Feeds one externally generated arrival (trace replay); pair with
   /// ScenarioConfig::external_arrivals. The multi-resource demand fields
@@ -182,12 +163,6 @@ class Simulation {
   SimTime live_last_tick_ = -1.0;
   bool begun_ = false;
   bool finished_ = false;
-  /// defer_attacks() state: reservation size requested, the first sequence
-  /// of the reserved block (valid after begin_run), and whether the block
-  /// is still waiting for arm_attacks().
-  std::uint32_t deferred_reserve_ = 0;
-  std::uint32_t reserved_first_ = 0;
-  bool attacks_deferred_ = false;
 };
 
 }  // namespace realtor::experiment

@@ -2,7 +2,6 @@
 
 #include <iostream>
 #include <sstream>
-#include <stdexcept>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -58,6 +57,19 @@ void accumulate(SweepCell& cell, const RunMetrics& m) {
   cell.summed.ledger.merge(m.ledger);
 }
 
+/// Runs one sweep point with its own trace sink (when the factory makes
+/// one), flushed before the metrics are handed back.
+RunMetrics run_point(const ScenarioConfig& config, const RunId& id,
+                     const SweepOptions& options) {
+  std::unique_ptr<obs::TraceSink> sink;
+  if (options.make_trace_sink) sink = options.make_trace_sink(id);
+  Simulation simulation(config);
+  if (sink) simulation.set_trace_sink(sink.get());
+  RunMetrics metrics = simulation.run();
+  if (sink) sink->flush();
+  return metrics;
+}
+
 }  // namespace
 
 std::vector<RunId> sweep_run_ids(const SweepOptions& options) {
@@ -101,67 +113,27 @@ std::vector<SweepCell> run_sweep(const ScenarioConfig& base,
   REALTOR_ASSERT(!options.protocols.empty());
   REALTOR_ASSERT(options.replications >= 1);
 
+  const std::vector<RunId> ids = sweep_run_ids(options);
+  const std::vector<ScenarioConfig> configs = sweep_point_configs(base,
+                                                                  options);
+  // jobs > 1 fans the independent runs out across worker threads first;
+  // jobs = 1 is the serial reference path, which runs each point inside
+  // the merge loop below so on_run reports live progress. Either way the
+  // per-run metrics are merged in exactly the serial order: OnlineStats
+  // accumulation and ledger merging see the same values in the same
+  // sequence, so the aggregates are byte-identical for every jobs value.
+  const unsigned jobs = resolve_jobs(options.jobs);
+  std::vector<RunMetrics> fanned;
+  if (jobs > 1) {
+    fanned.resize(configs.size());
+    parallel_for(configs.size(), jobs, [&](std::size_t i) {
+      fanned[i] = run_point(configs[i], ids[i], options);
+    });
+  }
+
   const std::size_t sets = set_count(options);
   std::vector<SweepCell> cells;
   cells.reserve(options.lambdas.size() * options.protocols.size() * sets);
-
-  const std::vector<RunId> ids = sweep_run_ids(options);
-  const unsigned jobs = resolve_jobs(options.jobs);
-  if (options.exec == SweepExec::kThread && jobs <= 1) {
-    // Serial reference path: run and merge in one streaming pass, so
-    // on_run reports live progress.
-    std::size_t index = 0;
-    for (const proto::ProtocolKind kind : options.protocols) {
-      for (const double lambda : options.lambdas) {
-        for (std::size_t set = 0; set < sets; ++set) {
-          SweepCell cell;
-          cell.kind = kind;
-          cell.lambda = lambda;
-          cell.attack_set = set;
-          for (std::uint32_t rep = 0; rep < options.replications; ++rep) {
-            const RunId& id = ids[index];
-            std::unique_ptr<obs::TraceSink> sink;
-            if (options.make_trace_sink) sink = options.make_trace_sink(id);
-            Simulation simulation(config_for(base, options, id));
-            if (sink) simulation.set_trace_sink(sink.get());
-            accumulate(cell, simulation.run());
-            if (sink) sink->flush();
-            if (options.on_run) options.on_run(cell, rep);
-            ++index;
-          }
-          cells.push_back(std::move(cell));
-        }
-      }
-    }
-    return cells;
-  }
-
-  // Fan the independent runs out — worker threads, or warm-start forked
-  // children under exec=fork — then merge the per-run metrics in exactly
-  // the serial order. OnlineStats accumulation and ledger merging see the
-  // same values in the same sequence as the serial path, so the
-  // aggregates are byte-identical across jobs values and exec modes.
-  const std::vector<ScenarioConfig> configs = sweep_point_configs(base,
-                                                                  options);
-  WarmStartOptions warm;
-  warm.exec = options.exec;
-  warm.jobs = options.jobs;
-  warm.child_hook = options.child_hook;
-  if (options.make_trace_sink) {
-    warm.make_sink = [&](std::size_t point) {
-      return options.make_trace_sink(ids[point]);
-    };
-  }
-  const WarmStartOutcome outcome = run_warm_start(configs, warm);
-  if (!outcome.all_ok()) {
-    std::ostringstream os;
-    os << "sweep execution failed:";
-    for (const std::string& line : outcome.failures()) {
-      os << "\n  " << line;
-    }
-    throw std::runtime_error(os.str());
-  }
-
   std::size_t index = 0;
   for (const proto::ProtocolKind kind : options.protocols) {
     for (const double lambda : options.lambdas) {
@@ -171,8 +143,13 @@ std::vector<SweepCell> run_sweep(const ScenarioConfig& base,
         cell.lambda = lambda;
         cell.attack_set = set;
         for (std::uint32_t rep = 0; rep < options.replications; ++rep) {
-          accumulate(cell, outcome.results[index++].metrics);
+          if (fanned.empty()) {
+            accumulate(cell, run_point(configs[index], ids[index], options));
+          } else {
+            accumulate(cell, fanned[index]);
+          }
           if (options.on_run) options.on_run(cell, rep);
+          ++index;
         }
         cells.push_back(std::move(cell));
       }
@@ -229,9 +206,9 @@ RunSinkFactory make_run_sink_factory(RunSinkOptions options) {
       }
     }
     if (options.live_prefix.empty()) return sink;
-    // Buffered exposition: each run (or forked child) accumulates its own
-    // snapshot history in memory and writes it at flush, so parallel
-    // workers never share a file and the bytes match the serial path.
+    // Buffered exposition: each run accumulates its own snapshot history
+    // in memory and writes it at flush, so parallel workers never share a
+    // file and the bytes match the serial path.
     obs::live::LiveConfig live;
     live.out = run_name(options.live_prefix, ".prom");
     live.rules = options.live_rules;

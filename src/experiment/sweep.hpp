@@ -6,22 +6,11 @@
 //
 // Execution model: every (protocol, lambda, attack set, replication) run
 // is an independent simulation with a seed derived from (base seed,
-// lambda, rep) alone, so the grid fans out across `jobs` workers and the
-// per-run metrics are merged back in the fixed serial order
-// (protocol-major, lambda, attack set, then replication). Two backends
-// share that merge:
-//
-//   - SweepExec::kThread — in-process worker threads (the portable
-//     reference path).
-//   - SweepExec::kFork — warm-start execution: points sharing a
-//     pre-attack prefix are grouped by the planner in warm_start.hpp, the
-//     prefix simulates once per class and each point finishes in a forked
-//     copy-on-write child. Linux only; other platforms and non-forkable
-//     points fall back to thread execution.
-//
-// Aggregates, confidence intervals and report tables are byte-identical
-// for every jobs value and both exec modes — parallelism and snapshotting
-// change wall-clock time only.
+// lambda, rep) alone, so the grid fans out across `jobs` worker threads
+// and the per-run metrics are merged back in the fixed serial order
+// (protocol-major, lambda, attack set, then replication). Aggregates,
+// confidence intervals and report tables are byte-identical for every
+// jobs value — parallelism changes wall-clock time only.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +22,6 @@
 #include "common/stats.hpp"
 #include "experiment/metrics.hpp"
 #include "experiment/scenario.hpp"
-#include "experiment/warm_start.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/trace.hpp"
 
@@ -71,55 +59,44 @@ struct SweepOptions {
   /// Attack schedules to sweep over. Empty (the default) keeps the base
   /// config's attack list untouched; otherwise each set replaces
   /// base.attacks for its slice of the grid. The run seed does not depend
-  /// on the set, so all sets of a (lambda, rep) cell share one workload —
-  /// and one warm-start prefix, which is what the fork executor snapshots.
+  /// on the set, so all sets of a (lambda, rep) cell share one workload.
   std::vector<std::vector<AttackWave>> attack_sets;
 
-  /// Execution backend; kFork needs fork_exec_supported() and otherwise
-  /// falls back to threads. Results are identical either way.
-  SweepExec exec = SweepExec::kThread;
-
-  /// Worker bound for the run fan-out (threads or live forked children):
-  /// 0 (the default) uses one per hardware thread, 1 runs the serial
-  /// reference path on the calling thread. Results are identical for
-  /// every value.
+  /// Worker threads for the run fan-out: 0 (the default) uses one per
+  /// hardware thread, 1 runs the serial reference path on the calling
+  /// thread. Results are identical for every value.
   unsigned jobs = 0;
 
   /// Optional per-run trace-sink factory, called once per run before its
   /// simulation starts; return nullptr to leave that run untraced. With
-  /// jobs > 1 the factory runs on worker threads — and under kFork inside
-  /// forked children — so every run must get its *own* sink with a
-  /// run-unique path (e.g. one suffixed JSONL file per run).
+  /// jobs > 1 the factory runs on worker threads, so every run must get
+  /// its *own* sink with a run-unique path (e.g. one suffixed JSONL file
+  /// per run).
   std::function<std::unique_ptr<obs::TraceSink>(const RunId& id)>
       make_trace_sink;
 
   /// Called after each completed run (progress reporting); may be empty.
-  /// Invocation order is always the serial cell order. With jobs > 1 or
-  /// exec=fork the callbacks fire during the deterministic merge after
-  /// the execution phase, so they report completion, not live progress.
+  /// Invocation order is always the serial cell order. With jobs > 1 the
+  /// callbacks fire during the deterministic merge after the execution
+  /// phase, so they report completion, not live progress.
   std::function<void(const SweepCell&, std::uint32_t rep)> on_run;
-
-  /// Test hook forwarded to WarmStartOptions::child_hook: runs inside
-  /// each forked child before its suffix resumes. Lets tests inject
-  /// child failures; never called on the thread path.
-  std::function<void(std::size_t point)> child_hook;
 };
 
 /// The sweep grid in serial order (protocol-major, lambda, attack set,
 /// then replication). run_sweep executes exactly this sequence.
 std::vector<RunId> sweep_run_ids(const SweepOptions& options);
 
-/// Fully resolved per-run configs, aligned with sweep_run_ids(). This is
-/// what the warm-start planner consumes; exposed for --plan dry runs.
+/// Fully resolved per-run configs, aligned with sweep_run_ids(): exactly
+/// what run_sweep simulates for each point.
 std::vector<ScenarioConfig> sweep_point_configs(const ScenarioConfig& base,
                                                 const SweepOptions& options);
 
-/// "realtor lambda=6 set=2 rep=0" — human label for plan listings.
+/// "realtor lambda=6 set=2 rep=0" — human label for one run.
 std::string run_label(const RunId& id);
 
 /// Runs `base` across the grid. Cells are ordered protocol-major, lambda,
-/// then attack set. Throws std::runtime_error listing every failed point
-/// if a forked child dies or returns a truncated record.
+/// then attack set. An exception thrown by one run is rethrown here after
+/// the in-flight runs finish.
 std::vector<SweepCell> run_sweep(const ScenarioConfig& base,
                                  const SweepOptions& options);
 
@@ -168,7 +145,7 @@ struct RunSinkOptions {
 
 /// The per-run sink factory shared by realtor_sim --sweep and the bench
 /// harness: builds a JsonlSink or FlightDumpSink per run, suffix-named so
-/// parallel workers (and forked children) never share a file. Both
+/// parallel workers never share a file. Both
 /// prefixes empty -> an empty function (sweep runs untraced). A file that
 /// cannot be opened is reported to stderr and that run is untraced.
 RunSinkFactory make_run_sink_factory(RunSinkOptions options);

@@ -8,12 +8,9 @@
 // simulation engine emits at ScenarioConfig::live_cadence boundaries.
 // Every number in a snapshot and every alert transition is therefore a
 // pure function of the trace-event stream — and the stream is already
-// byte-identical across --jobs values and --exec=thread|fork (the
-// warm-start executor replays the shared prefix into each forked child's
-// sink, live_tick events included, so a fresh child plane regenerates
-// exactly the window state the thread path built live). Fixed seed in,
-// identical exposition file and identical alert_firing events out,
-// regardless of parallelism.
+// byte-identical across --jobs values. Fixed seed in, identical
+// exposition file and identical alert_firing events out, regardless of
+// parallelism.
 //
 // Overhead contract: same as Tracer — nothing is attached when live
 // telemetry is off, so untraced/not-live runs pay only the existing
@@ -67,9 +64,9 @@ struct LiveConfig {
   /// operator mode). File targets are rewritten in place so the file
   /// always holds the latest scrapeable snapshot; fd/stdout targets
   /// append. false: buffer the whole snapshot history in memory and
-  /// write it on flush() — what sweep runs use, so forked children
-  /// regenerate the full history from the replayed prefix and produce
-  /// byte-identical files.
+  /// write it on flush() — what sweep runs use, so runs on parallel
+  /// worker threads each write their own complete file once, with the
+  /// same bytes as the serial path.
   bool write_through = false;
 };
 

@@ -37,8 +37,8 @@
 // to firing when its condition holds at a tick and was not holding at the
 // previous one, emitting an alert_firing event; the reverse transition
 // emits alert_cleared. Everything a rule reads is a pure function of the
-// trace-event stream, so firings are byte-identical across --jobs and
-// --exec modes for a fixed seed.
+// trace-event stream, so firings are byte-identical across --jobs values
+// for a fixed seed.
 #pragma once
 
 #include <string>

@@ -8,7 +8,7 @@
 //   rolls the live buckets up oldest-to-newest via Histogram::merge, so
 //   the rollup is a pure function of the observation stream and the
 //   advancement instants — the determinism the live plane guarantees
-//   across --jobs and --exec modes.
+//   across --jobs values.
 //
 //   TailWindow — the last N observations ("admission probability over
 //   the last 50 episodes"), a plain value ring with on-demand stats.

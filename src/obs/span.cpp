@@ -55,8 +55,9 @@ SpanEvent normalize(const TraceEvent& event) {
       default:
         break;
     }
-    apply_field(out, field.key, number, field.b,
-                field.type == TraceField::Type::kBool);
+    // Read the union's bool member only when it is the active one.
+    const bool is_bool = field.type == TraceField::Type::kBool;
+    apply_field(out, field.key, number, is_bool && field.b, is_bool);
   }
   return out;
 }

@@ -83,39 +83,12 @@ EventId Engine::schedule_at(SimTime t, Callback cb) {
   }
   Slot& s = slots_[slot];
   s.fn = std::move(cb);
-  std::uint32_t seq;
-  if (reserved_left_ > 0) {
-    seq = reserved_next_++;
-    --reserved_left_;
-  } else {
-    seq = next_seq_++;
-    REALTOR_ASSERT_MSG(next_seq_ != 0, "event sequence space exhausted");
-  }
+  const std::uint32_t seq = next_seq_++;
+  REALTOR_ASSERT_MSG(next_seq_ != 0, "event sequence space exhausted");
   s.seq = seq;
   heap_push(HeapEntry{t, seq, slot});
   ++live_;
   return pack(slot, s.generation);
-}
-
-std::uint32_t Engine::reserve_seqs(std::uint32_t n) {
-  const std::uint32_t first = next_seq_;
-  REALTOR_ASSERT_MSG(0xffffffffu - next_seq_ > n,
-                     "event sequence space exhausted");
-  next_seq_ += n;
-  return first;
-}
-
-void Engine::use_reserved_seqs(std::uint32_t first, std::uint32_t n) {
-  REALTOR_ASSERT_MSG(reserved_left_ == 0, "reserved blocks cannot nest");
-  REALTOR_ASSERT_MSG(first + n <= next_seq_, "block was never reserved");
-  reserved_next_ = first;
-  reserved_left_ = n;
-}
-
-void Engine::end_reserved_seqs() {
-  REALTOR_ASSERT_MSG(reserved_left_ == 0,
-                     "reserved sequence block not fully consumed");
-  reserved_next_ = 0;
 }
 
 EventId Engine::schedule_in(SimTime delay, Callback cb) {

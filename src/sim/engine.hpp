@@ -3,10 +3,7 @@
 // Single-threaded: all model code runs inside event callbacks on one thread.
 // Determinism guarantees:
 //   * events fire in nondecreasing time order;
-//   * events at equal times fire in scheduling (FIFO) order — except while
-//     a reserved sequence block is active (see reserve_seqs), which exists
-//     precisely to let the warm-start executor re-arm deferred events into
-//     the tie-break positions an unforked run would have given them;
+//   * events at equal times fire in scheduling (FIFO) order;
 //   * cancellation is O(1) and never perturbs the order of other events.
 //
 // Storage design (the hot path of every benchmark): events live in a
@@ -61,28 +58,11 @@ class Engine {
   void run_until(SimTime t);
 
   /// Runs all events with time strictly < `t`, then advances the clock to
-  /// `t`. The warm-start snapshot barrier: events at exactly `t` stay
-  /// pending, so divergent events re-armed at `t` from a reserved sequence
-  /// block can still win the equal-time tie-break against them.
+  /// `t`. Events at exactly `t` stay pending, so a phase-wise caller can
+  /// inspect the world at an instant before anything scheduled there
+  /// fires; run_until_before(t) followed by run_until(u) fires the same
+  /// events in the same order as run_until(u) alone (t <= u).
   void run_until_before(SimTime t);
-
-  /// Burns `n` consecutive sequence numbers at the current allocation
-  /// point and returns the first. Together with use_reserved_seqs() this
-  /// lets a caller hold tie-break positions open for events it will only
-  /// schedule later (the warm-start executor reserves the attack block in
-  /// the shared prefix and arms each child's waves into it after fork);
-  /// sequences never reused, so leftover reservations are simply wasted.
-  std::uint32_t reserve_seqs(std::uint32_t n);
-
-  /// Makes the next `n` schedule calls draw sequence numbers `first`,
-  /// `first+1`, ... instead of fresh ones. The block must come from
-  /// reserve_seqs(); nesting is not supported.
-  void use_reserved_seqs(std::uint32_t first, std::uint32_t n);
-
-  /// Ends reserved-sequence mode; asserts the block was fully consumed
-  /// (an unconsumed reservation means the caller's event count drifted
-  /// from what it actually scheduled).
-  void end_reserved_seqs();
 
   /// Fires at most `max_events` events; returns how many fired.
   std::size_t step(std::size_t max_events = 1);
@@ -171,10 +151,6 @@ class Engine {
 
   SimTime now_ = 0.0;
   std::uint32_t next_seq_ = 1;
-  /// Reserved-sequence mode (see reserve_seqs): while reserved_left_ > 0,
-  /// schedule_at draws from reserved_next_ instead of next_seq_.
-  std::uint32_t reserved_next_ = 0;
-  std::uint32_t reserved_left_ = 0;
   std::uint64_t processed_ = 0;
   std::size_t live_ = 0;
   std::uint64_t observe_every_ = 0;

@@ -103,6 +103,20 @@ TEST(Engine, RunUntilIncludesBoundaryEvents) {
   EXPECT_TRUE(fired);
 }
 
+TEST(Engine, RunUntilBeforeLeavesBarrierEventsPending) {
+  Engine e;
+  std::vector<int> fired;
+  e.schedule_at(1.0, [&] { fired.push_back(1); });
+  e.schedule_at(2.0, [&] { fired.push_back(2); });
+  e.schedule_at(2.0, [&] { fired.push_back(3); });
+  e.schedule_at(3.0, [&] { fired.push_back(4); });
+  e.run_until_before(2.0);
+  EXPECT_EQ(fired, (std::vector<int>{1}));
+  EXPECT_DOUBLE_EQ(e.now(), 2.0);
+  e.run();
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 4}));
+}
+
 TEST(Engine, StepFiresLimitedEvents) {
   Engine e;
   int fired = 0;

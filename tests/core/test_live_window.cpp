@@ -205,7 +205,7 @@ TEST(HistogramMerge, DownsampleIsMergeOrderIndependent) {
 TEST(HistogramMerge, RepeatedMergeIsDeterministic) {
   // Same inputs, two independent rollups: byte-identical quantiles. This
   // is the property the live plane's windowed p99 relies on across
-  // --jobs and --exec modes.
+  // --jobs values.
   const auto rollup = [] {
     Histogram total(12);
     for (int bucket = 0; bucket < 6; ++bucket) {

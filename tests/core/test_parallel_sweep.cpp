@@ -59,6 +59,7 @@ void expect_cells_identical(const std::vector<SweepCell>& a,
     SCOPED_TRACE("cell " + std::to_string(i));
     EXPECT_EQ(a[i].kind, b[i].kind);
     EXPECT_EQ(a[i].lambda, b[i].lambda);
+    EXPECT_EQ(a[i].attack_set, b[i].attack_set);
     expect_stats_identical(a[i].admission_probability,
                            b[i].admission_probability);
     expect_stats_identical(a[i].total_messages, b[i].total_messages);
@@ -73,6 +74,10 @@ void expect_cells_identical(const std::vector<SweepCell>& a,
     EXPECT_EQ(a[i].summed.rejected, b[i].summed.rejected);
     EXPECT_EQ(a[i].summed.completed, b[i].summed.completed);
     EXPECT_EQ(a[i].summed.migration_attempts, b[i].summed.migration_attempts);
+    EXPECT_EQ(a[i].summed.evacuation_candidates,
+              b[i].summed.evacuation_candidates);
+    EXPECT_EQ(a[i].summed.evacuated, b[i].summed.evacuated);
+    EXPECT_EQ(a[i].summed.lost_to_attack, b[i].summed.lost_to_attack);
     const net::LedgerSnapshot la = a[i].summed.ledger.snapshot();
     const net::LedgerSnapshot lb = b[i].summed.ledger.snapshot();
     EXPECT_EQ(la.total_sends, lb.total_sends);
@@ -94,11 +99,38 @@ std::string render_tables(const std::vector<SweepCell>& cells) {
   return os.str();
 }
 
+/// The plain grid plus an attack-parameter sweep over it: three single-wave
+/// sets of growing severity, all sharing each (lambda, rep) workload.
+SweepOptions attack_grid_options(unsigned jobs) {
+  SweepOptions options = grid_options(jobs);
+  AttackWave wave;
+  wave.time = 45.0;
+  wave.grace = 1.0;
+  wave.outage = 8.0;
+  for (const std::size_t victims : {2, 4, 6}) {
+    wave.count = victims;
+    options.attack_sets.push_back({wave});
+  }
+  return options;
+}
+
 TEST(ParallelSweep, ParallelAggregatesByteIdenticalToSerial) {
-  const auto serial = run_sweep(fast_base(), grid_options(1));
-  const auto parallel = run_sweep(fast_base(), grid_options(4));
-  expect_cells_identical(serial, parallel);
-  EXPECT_EQ(render_tables(serial), render_tables(parallel));
+  for (const bool attacks : {false, true}) {
+    SCOPED_TRACE(attacks ? "attack sets" : "plain grid");
+    const auto options = attacks ? attack_grid_options : grid_options;
+    const auto serial = run_sweep(fast_base(), options(1));
+    const auto parallel = run_sweep(fast_base(), options(4));
+    expect_cells_identical(serial, parallel);
+    EXPECT_EQ(render_tables(serial), render_tables(parallel));
+    if (attacks) {
+      ASSERT_EQ(serial.size(), 2u * 3u * 3u);
+      // The waves must actually evacuate tasks, or the sets would not
+      // diverge and the comparison would prove nothing about them.
+      std::uint64_t evacuated = 0;
+      for (const SweepCell& cell : serial) evacuated += cell.summed.evacuated;
+      EXPECT_GT(evacuated, 0u);
+    }
+  }
 }
 
 TEST(ParallelSweep, DefaultJobsMatchesSerial) {

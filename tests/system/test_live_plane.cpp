@@ -1,8 +1,7 @@
 // The live telemetry plane end-to-end: the headline guarantee is that a
 // fixed seed produces byte-identical alert firings and exposition
-// snapshots no matter how the sweep executes — serial, threaded, or
-// warm-start forked children replaying a shared prefix into a fresh
-// plane.
+// snapshots no matter how the sweep executes — serially or on worker
+// threads.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -115,17 +114,16 @@ std::string read_file(const std::string& path) {
   return out.str();
 }
 
-// Runs the alert scenario as a two-replication sweep under the given
-// executor and returns the bytes of every per-run exposition file.
+// Runs the alert scenario as a two-replication sweep on `jobs` workers
+// and returns the bytes of every per-run exposition file.
 std::vector<std::string> sweep_expositions(const std::string& prefix,
-                                           unsigned jobs, SweepExec exec) {
+                                           unsigned jobs) {
   ScenarioConfig base = alert_scenario();
   SweepOptions options;
   options.lambdas = {12.0};
   options.protocols = {proto::ProtocolKind::kRealtor};
   options.replications = 2;
   options.jobs = jobs;
-  options.exec = exec;
 
   RunSinkOptions sinks;
   sinks.live_prefix = prefix;
@@ -148,10 +146,8 @@ std::vector<std::string> sweep_expositions(const std::string& prefix,
 
 TEST(LivePlane, ExpositionIsByteIdenticalAcrossJobsAndExec) {
   const std::string dir = ::testing::TempDir();
-  const auto serial =
-      sweep_expositions(dir + "live_serial", 1, SweepExec::kThread);
-  const auto threaded =
-      sweep_expositions(dir + "live_jobs4", 4, SweepExec::kThread);
+  const auto serial = sweep_expositions(dir + "live_serial", 1);
+  const auto threaded = sweep_expositions(dir + "live_jobs4", 4);
   ASSERT_EQ(serial.size(), threaded.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i], threaded[i]) << "rep " << i << " diverged";
@@ -159,15 +155,6 @@ TEST(LivePlane, ExpositionIsByteIdenticalAcrossJobsAndExec) {
   // The snapshot history must contain the golden firing, not just match.
   EXPECT_NE(serial[0].find("realtor_live_alert{rule=\"admission_low\"} 1"),
             std::string::npos);
-
-  if (fork_exec_supported()) {
-    const auto forked =
-        sweep_expositions(dir + "live_fork", 4, SweepExec::kFork);
-    ASSERT_EQ(serial.size(), forked.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(serial[i], forked[i]) << "rep " << i << " diverged (fork)";
-    }
-  }
 }
 
 }  // namespace

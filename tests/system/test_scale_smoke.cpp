@@ -36,6 +36,11 @@ long max_rss_kib() {
 }
 
 TEST(ScaleSmoke, TorusFiftyByFiftyRunsFastAndLean) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  // Sanitizer shadow memory and instrumentation blow both envelopes by
+  // design; the bounds below are only meaningful for uninstrumented builds.
+  GTEST_SKIP() << "wall-clock and RSS bounds do not apply under sanitizers";
+#endif
   const auto start = std::chrono::steady_clock::now();
   Simulation sim(torus_config());
   const RunMetrics& metrics = sim.run();

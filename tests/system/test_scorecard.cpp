@@ -34,8 +34,18 @@ experiment::ScenarioConfig attack_scenario() {
   return config;
 }
 
+/// A temp path unique to the running test: ctest runs every case as its
+/// own concurrent process, so a fixed name lets one case delete the file
+/// another case is still writing.
+std::string per_test_path(const std::string& stem) {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + info->test_suite_name() + '.' + info->name() +
+         '.' + stem;
+}
+
 std::vector<ParsedEvent> traced_run() {
-  const std::string path = ::testing::TempDir() + "scorecard_run.jsonl";
+  const std::string path = per_test_path("scorecard_run.jsonl");
   {
     experiment::Simulation sim(attack_scenario());
     JsonlSink sink(path);

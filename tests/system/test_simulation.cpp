@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <iomanip>
+#include <sstream>
+#include <string>
+
 #include "proto/factory.hpp"
 
 namespace realtor::experiment {
@@ -272,6 +276,50 @@ TEST(Simulation, ExactHopCostModeChargesLessThanPinnedAverage) {
   const double exact_cost = Simulation(exact).run().ledger.total_cost();
   EXPECT_GT(paper_cost, 0.0);
   EXPECT_LT(exact_cost, paper_cost);
+}
+
+/// Every counter and accumulator a run produces, rendered exactly.
+std::string fingerprint(const RunMetrics& m) {
+  std::ostringstream os;
+  os << std::setprecision(17);
+  os << m.generated << '|' << m.admitted_local << '|' << m.admitted_migrated
+     << '|' << m.rejected << '|' << m.arrivals_at_dead_nodes << '|'
+     << m.completed << '|' << m.evacuation_candidates << '|' << m.evacuated
+     << '|' << m.lost_to_attack << '|' << m.migration_attempts << '|'
+     << m.migration_aborts << '|' << m.response_time.count() << '|'
+     << m.response_time.mean() << '|' << m.response_time.variance() << '|'
+     << m.ledger.total_sends() << '|' << m.ledger.total_cost() << '|'
+     << m.ledger.overhead_cost() << '|' << m.mean_occupancy << '|'
+     << m.mean_utilization;
+  return os.str();
+}
+
+TEST(Simulation, PhasedRunMatchesOneShotRun) {
+  // Phase-wise callers stop the world just before the first attack wave
+  // (its solicitations and evacuations still pending) and then resume;
+  // the split must not move a single event.
+  ScenarioConfig config = small_config(proto::ProtocolKind::kRealtor, 4.0,
+                                       40.0);
+  config.seed = 9;
+  AttackWave wave;
+  wave.time = 30.0;
+  wave.count = 4;
+  wave.grace = 1.0;
+  wave.outage = 5.0;
+  config.attacks = {wave};
+
+  Simulation oneshot(config);
+  const std::string expected = fingerprint(oneshot.run());
+  EXPECT_GT(oneshot.metrics().evacuation_candidates, 0u);
+
+  Simulation phased(config);
+  phased.begin_run();
+  phased.run_prefix(wave.time);
+  EXPECT_DOUBLE_EQ(phased.engine().now(), wave.time);
+  EXPECT_EQ(phased.metrics().evacuation_candidates, 0u);
+  EXPECT_EQ(fingerprint(phased.finish_run()), expected);
+  EXPECT_EQ(phased.engine().events_processed(),
+            oneshot.engine().events_processed());
 }
 
 }  // namespace

@@ -46,20 +46,12 @@
 //   realtor_sim --sweep=2,8 --jobs=4       # sweep on 4 worker threads
 //                                          # (byte-identical output; 0 =
 //                                          # one per hardware thread)
-//   realtor_sim --sweep=6 --exec=fork      # warm-start execution: shared
-//                                          # pre-attack prefixes simulate
-//                                          # once, points finish in forked
-//                                          # COW children (Linux; output
-//                                          # byte-identical to --exec=thread)
 //   realtor_sim --sweep=6 \
 //     --attack-sweep="150:5:1:60;150:10:1:60;150:20:1:60"
 //                                          # sweep attack schedules too:
 //                                          # ';'-separated sets, each a
 //                                          # comma list of t:count:grace:o
 //                                          # (empty chunk = no attacks)
-//   realtor_sim --sweep=6 --attack-sweep=... --plan
-//                                          # dry run: print the computed
-//                                          # warm-start classes and exit
 //
 // Sweeps + tracing: --sweep with --trace=prefix writes one JSONL file per
 // (protocol, lambda, replication) run, named
@@ -70,7 +62,6 @@
 // See experiment/cli_config.hpp for the complete flag list.
 #include <exception>
 #include <fstream>
-#include <iomanip>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -365,32 +356,6 @@ Table attack_sweep_table(const std::vector<experiment::SweepCell>& cells,
   return table;
 }
 
-int print_warm_start_plan(const experiment::ScenarioConfig& base,
-                          const experiment::SweepOptions& options) {
-  const std::vector<experiment::RunId> ids = experiment::sweep_run_ids(options);
-  const std::vector<experiment::ScenarioConfig> configs =
-      experiment::sweep_point_configs(base, options);
-  const std::vector<experiment::WarmStartClass> classes =
-      experiment::plan_warm_start(configs);
-  std::cout << "warm-start plan: " << configs.size() << " points, "
-            << classes.size() << " classes (exec="
-            << experiment::to_string(options.exec) << ", fork "
-            << (experiment::fork_exec_supported() ? "supported"
-                                                  : "unsupported")
-            << ")\n";
-  for (const experiment::WarmStartClass& cls : classes) {
-    std::cout << "class " << std::hex << std::setw(16) << std::setfill('0')
-              << cls.hash << std::dec << std::setfill(' ') << " members="
-              << cls.members.size() << " prefix_end="
-              << format_double(cls.prefix_end, 3)
-              << (cls.forkable ? " forkable" : " singleton") << '\n';
-    for (const std::size_t member : cls.members) {
-      std::cout << "  - " << experiment::run_label(ids[member]) << '\n';
-    }
-  }
-  return 0;
-}
-
 int run_sweep_mode(const Flags& flags) {
   experiment::ScenarioConfig base = experiment::scenario_from_flags(flags);
   if (flags.has("live-metrics") && !flags.has("live-cadence")) {
@@ -403,15 +368,6 @@ int run_sweep_mode(const Flags& flags) {
     options.protocols.push_back(proto::ProtocolKind::kGossip);
   }
   options.jobs = static_cast<unsigned>(flags.get_int("jobs", 0));
-  const std::string exec_name = flags.get_string("exec", "thread");
-  const std::optional<experiment::SweepExec> exec =
-      experiment::parse_exec(exec_name);
-  if (!exec) {
-    std::cerr << "unknown --exec value '" << exec_name
-              << "' (expected thread or fork)\n";
-    return 1;
-  }
-  options.exec = *exec;
   if (flags.has("attack-sweep")) {
     // ';'-separated attack sets, each a comma list of t:count:grace:outage
     // waves; an empty chunk is the no-attack baseline.
@@ -423,9 +379,6 @@ int run_sweep_mode(const Flags& flags) {
     if (options.attack_sets.empty()) {
       options.attack_sets.emplace_back();
     }
-  }
-  if (flags.get_bool("plan", false)) {
-    return print_warm_start_plan(base, options);
   }
   // A sweep cannot funnel every run into one trace file without
   // interleaving records across worker threads, so --trace (JSONL) and
@@ -450,7 +403,7 @@ int run_sweep_mode(const Flags& flags) {
   // --live-metrics=<prefix> in sweep mode: one buffered exposition history
   // per run (prefix.<proto>.lambda<L>[.att<K>].rep<R>.prom), wrapping the
   // run's JSONL/flight sink when one is armed. Byte-identical across
-  // --jobs values and --exec modes for a fixed seed.
+  // --jobs values for a fixed seed.
   if (flags.has("live-metrics")) {
     sink_options.live_prefix = flags.get_string("live-metrics", "");
     if (sink_options.live_prefix == "true") sink_options.live_prefix = "live";
