@@ -17,6 +17,13 @@
 //                      kill/restore churn waves. The N=25 cells are gated
 //                      on byte-identical metrics against a reference
 //                      captured before the zero-copy transport landed.
+//                      Each cell also records its resource use: minor
+//                      page faults (getrusage delta over the cell),
+//                      messages delivered, and peak_rss_mb — the
+//                      process high-water mark after the cell, so it
+//                      never falls from one cell to the next and a
+//                      cell's own footprint shows only where it exceeds
+//                      every cell run before it.
 //   BENCH_obs.json     the tracing-overhead matrix: one attack-heavy
 //                      REALTOR run at N=2500 timed with tracing off, with
 //                      the binary flight recorder, with a JSONL sink, and
@@ -99,6 +106,8 @@
 #include <thread>
 #include <utility>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "bench_common.hpp"
 #include "common/format.hpp"
@@ -417,6 +426,9 @@ struct ScaleResult {
   double seconds = 0.0;
   std::uint64_t events = 0;
   std::uint64_t floods = 0;
+  std::uint64_t deliveries = 0;
+  long minflt = 0;
+  double peak_rss_mb = 0.0;  // process high-water mark after the cell
   std::string fingerprint;
   bool gated = false;      // an N=25 reference exists for this cell
   bool identical = true;   // fingerprint matched that reference
@@ -440,16 +452,25 @@ int run_scale(const Flags& flags) {
   for (const std::string& topo : topos) {
     for (const NodeId n : sizes) {
       const experiment::ScenarioConfig config = scale_config(topo, n, floods);
-      experiment::Simulation sim(config);
-      const Clock::time_point start = Clock::now();
-      const experiment::RunMetrics& metrics = sim.run();
+      rusage before{};
+      getrusage(RUSAGE_SELF, &before);
       ScaleResult result;
+      {
+        experiment::Simulation sim(config);
+        const Clock::time_point start = Clock::now();
+        const experiment::RunMetrics& metrics = sim.run();
+        result.seconds = seconds_since(start);
+        result.events = sim.engine().events_processed();
+        result.floods = metrics.ledger.sends(net::MessageKind::kPushAdvert);
+        result.deliveries = sim.transport().deliveries();
+        result.fingerprint = metrics_fingerprint(metrics);
+      }
+      rusage after{};
+      getrusage(RUSAGE_SELF, &after);
+      result.minflt = after.ru_minflt - before.ru_minflt;
+      result.peak_rss_mb = static_cast<double>(after.ru_maxrss) / 1024.0;
       result.topo = topo;
       result.n = n;
-      result.seconds = seconds_since(start);
-      result.events = sim.engine().events_processed();
-      result.floods = metrics.ledger.sends(net::MessageKind::kPushAdvert);
-      result.fingerprint = metrics_fingerprint(metrics);
       if (floods == 5000) {
         for (const ScaleReference& ref : kScaleReference) {
           if (result.topo == ref.topo && result.n == ref.n) {
@@ -461,7 +482,9 @@ int run_scale(const Flags& flags) {
       }
       std::cout << "scale " << topo << " n=" << n << ": " << result.seconds
                 << " s, " << result.events << " events, " << result.floods
-                << " floods"
+                << " floods, " << result.deliveries << " deliveries, "
+                << result.minflt << " minflt, peak RSS " << result.peak_rss_mb
+                << " MB"
                 << (result.gated
                         ? (result.identical ? " [reference ok]"
                                             : " [REFERENCE MISMATCH]")
@@ -490,6 +513,9 @@ int run_scale(const Flags& flags) {
         << ", \"seconds\": " << r.seconds << ", \"events\": " << r.events
         << ", \"floods\": " << r.floods << ", \"events_per_s\": "
         << (r.seconds > 0.0 ? double(r.events) / r.seconds : 0.0)
+        << ", \"deliveries\": " << r.deliveries
+        << ", \"minflt\": " << r.minflt
+        << ", \"peak_rss_mb\": " << r.peak_rss_mb
         << ", \"gated\": " << (r.gated ? "true" : "false")
         << ", \"identical\": " << (r.identical ? "true" : "false") << "}"
         << (i + 1 < results.size() ? "," : "") << '\n';

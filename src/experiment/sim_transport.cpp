@@ -4,6 +4,7 @@
 
 #include "common/assert.hpp"
 #include "common/profile.hpp"
+#include "proto/availability_table.hpp"
 
 namespace realtor::experiment {
 
@@ -54,6 +55,7 @@ void SimTransport::deliver_later(NodeId dest, NodeId origin, Payload payload,
   engine_.schedule_in(delay_ * static_cast<double>(hops),
                       [this, dest, origin, payload = std::move(payload)] {
                         if (topology_.alive(dest)) {
+                          ++deliveries_;
                           deliver_(dest, origin, *payload);
                         }
                       });
@@ -64,6 +66,7 @@ void SimTransport::deliver_later(NodeId dest, NodeId origin,
   engine_.schedule_in(delay_ * static_cast<double>(hops),
                       [this, dest, origin, msg = std::move(msg)] {
                         if (topology_.alive(dest)) {
+                          ++deliveries_;
                           deliver_(dest, origin, msg);
                         }
                       });
@@ -83,14 +86,26 @@ void SimTransport::fan_out(NodeId origin, federation::GroupId group,
     engine_.schedule_in(delay_, [this, origin, group, payload =
                                      std::move(payload)] {
       if (group == kFlatOverlay) {
+        const auto* advert = std::get_if<proto::PushAdvertMsg>(&*payload);
+        if (board_ != nullptr && advert != nullptr) {
+          // Every alive node but the origin receives the same value now:
+          // one board record stands for all N-1 table writes.
+          board_->publish(advert->origin, advert->availability,
+                          engine_.now(), advert->security_level);
+          deliveries_ += topology_.alive_count() -
+                         (topology_.alive(origin) ? 1 : 0);
+          return;
+        }
         const NodeId n = topology_.num_nodes();
         for (NodeId dest = 0; dest < n; ++dest) {
           if (dest == origin || !topology_.alive(dest)) continue;
+          ++deliveries_;
           deliver_(dest, origin, *payload);
         }
       } else {
         for (const NodeId dest : groups_->members(group)) {
           if (dest == origin || !topology_.alive(dest)) continue;
+          ++deliveries_;
           deliver_(dest, origin, *payload);
         }
       }

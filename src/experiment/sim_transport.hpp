@@ -14,6 +14,13 @@
 // at schedule time, so no other event can interleave them, and liveness
 // flips at the same timestamp always carry smaller sequence numbers (they
 // are scheduled at t=0), so they are visible to both modes alike.
+//
+// Push adverts on the batched whole-overlay path are not handed to the
+// receivers at all: with an AdvertBoard attached, the event publishes the
+// advert to the board once, at fire time, and every receiver alive then
+// sees it through its AvailabilityTable (see availability_table.hpp).
+// Per-destination and group-scoped fan-outs still deliver to each
+// receiver.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +35,10 @@
 #include "obs/trace.hpp"
 #include "proto/transport.hpp"
 #include "sim/engine.hpp"
+
+namespace realtor::proto {
+class AdvertBoard;
+}  // namespace realtor::proto
 
 namespace realtor::experiment {
 
@@ -60,6 +71,11 @@ class SimTransport final : public proto::Transport {
   void set_delivery_mode(DeliveryMode mode) { mode_ = mode; }
   DeliveryMode delivery_mode() const { return mode_; }
 
+  /// Board that batched whole-overlay push adverts are published to
+  /// instead of being delivered per receiver (nullptr, the default,
+  /// delivers them like any other message). Must outlive the transport.
+  void set_advert_board(proto::AdvertBoard* board) { board_ = board; }
+
   void flood(NodeId origin, const proto::Message& msg) override;
   void unicast(NodeId from, NodeId to, const proto::Message& msg) override;
 
@@ -72,6 +88,10 @@ class SimTransport final : public proto::Transport {
   /// Test hook: payload envelopes allocated so far — exactly one per
   /// flood/escalate regardless of destination count.
   std::uint64_t payload_allocations() const { return payload_allocations_; }
+
+  /// Messages that reached a receiver: one per handed-over message, and
+  /// one per alive receiver of each advert published to the board.
+  std::uint64_t deliveries() const { return deliveries_; }
 
   /// Unicasts charged to the ledger but dropped because the endpoints sat
   /// in different partitions of the alive subgraph (record-and-drop: the
@@ -132,9 +152,11 @@ class SimTransport final : public proto::Transport {
   Deliver deliver_;
   const federation::GroupMap* groups_ = nullptr;
   const obs::Tracer* tracer_ = nullptr;
+  proto::AdvertBoard* board_ = nullptr;
   DeliveryMode mode_ = DeliveryMode::kAuto;
   std::uint64_t payload_allocations_ = 0;
   std::uint64_t dropped_unreachable_ = 0;
+  std::uint64_t deliveries_ = 0;
   mutable net::ShortestPaths paths_;
 };
 

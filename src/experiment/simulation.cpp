@@ -45,6 +45,7 @@ net::Topology build_topology(const TopologySpec& spec) {
 Simulation::Simulation(const ScenarioConfig& config)
     : config_(config),
       topology_(build_topology(config.topology)),
+      advert_board_(topology_.num_nodes()),
       cost_model_(topology_, config.cost_mode, config.fixed_unicast_cost,
                   config.flood_mode),
       transport_(engine_, topology_, cost_model_, metrics_.ledger,
@@ -64,6 +65,7 @@ Simulation::Simulation(const ScenarioConfig& config)
     cost_model_.set_approx_path_stats(true);
   }
   transport_.set_tracer(&tracer_);
+  transport_.set_advert_board(&advert_board_);
   const NodeId n = topology_.num_nodes();
   hosts_.reserve(n);
   protocols_.reserve(n);
@@ -116,6 +118,7 @@ Simulation::Simulation(const ScenarioConfig& config)
     env.seed = config_.seed;
     env.tracer = &tracer_;
     env.episodes = &episodes_;
+    env.advert_board = &advert_board_;
     protocols_.push_back(proto::make_protocol(config_.protocol_kind, id,
                                               config_.protocol,
                                               std::move(env)));
@@ -407,6 +410,9 @@ const RunMetrics& Simulation::run() {
 void Simulation::begin_run() {
   REALTOR_ASSERT_MSG(!begun_, "Simulation::run() is one-shot");
   begun_ = true;
+
+  // Each host can hold a protocol timer and a service completion at once.
+  engine_.reserve(2 * static_cast<std::size_t>(topology_.num_nodes()));
 
   for (auto& protocol : protocols_) {
     protocol->start();

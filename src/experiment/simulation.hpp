@@ -31,6 +31,7 @@
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
 #include "obs/trace.hpp"
+#include "proto/availability_table.hpp"
 #include "proto/discovery_protocol.hpp"
 #include "sim/arrivals.hpp"
 #include "sim/engine.hpp"
@@ -140,6 +141,8 @@ class Simulation {
   ScenarioConfig config_;
   sim::Engine engine_;
   net::Topology topology_;
+  /// Whole-overlay push adverts, shared by every node's AvailabilityTable.
+  proto::AdvertBoard advert_board_;
   net::CostModel cost_model_;
   RunMetrics metrics_;
   SimTransport transport_;

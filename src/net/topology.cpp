@@ -1,7 +1,10 @@
 #include "net/topology.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
+#include <unordered_set>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
@@ -18,8 +21,6 @@ Topology::Topology(NodeId num_nodes)
 void Topology::add_link(NodeId a, NodeId b) {
   REALTOR_ASSERT(a < num_nodes_ && b < num_nodes_);
   REALTOR_ASSERT_MSG(a != b, "self links are not allowed");
-  REALTOR_ASSERT_MSG(!has_link(a, b), "duplicate link");
-  link_set_.insert(pack_link(a, b));
   links_.push_back(Link{std::min(a, b), std::max(a, b)});
   if (alive_[a] && alive_[b]) ++alive_link_count_;
   ++version_;
@@ -27,7 +28,8 @@ void Topology::add_link(NodeId a, NodeId b) {
 
 bool Topology::has_link(NodeId a, NodeId b) const {
   REALTOR_ASSERT(a < num_nodes_ && b < num_nodes_);
-  return link_set_.count(pack_link(a, b)) != 0;
+  const NeighborSpan row = neighbors(a);
+  return std::find(row.begin(), row.end(), b) != row.end();
 }
 
 void Topology::set_alive(NodeId node, bool value) {
@@ -84,6 +86,16 @@ void Topology::rebuild_csr() const {
   for (const Link& link : links_) {
     csr_neighbors_[cursor[link.a]++] = link.b;
     csr_neighbors_[cursor[link.b]++] = link.a;
+  }
+  // Duplicate check, reusing cursor as "last row that listed this node":
+  // a row naming the same neighbor twice means a link was added twice.
+  std::fill(cursor.begin(), cursor.end(), kInvalidNode);
+  for (NodeId n = 0; n < num_nodes_; ++n) {
+    for (std::uint32_t i = csr_offsets_[n]; i < csr_offsets_[n + 1]; ++i) {
+      const NodeId neighbor = csr_neighbors_[i];
+      REALTOR_ASSERT_MSG(cursor[neighbor] != n, "duplicate link");
+      cursor[neighbor] = n;
+    }
   }
   csr_links_ = links_.size();
 }
@@ -153,6 +165,13 @@ Topology make_random_connected(NodeId n, std::size_t target_links,
 
   RngStream rng(seed, "random-topology");
   Topology topo(n);
+  // Links drawn so far, keyed (min << 32 | max): has_link() would rebuild
+  // the adjacency after every add_link.
+  std::unordered_set<std::uint64_t> drawn;
+  const auto draw = [&](NodeId a, NodeId b) {
+    if (a > b) std::swap(a, b);
+    return drawn.insert((static_cast<std::uint64_t>(a) << 32) | b).second;
+  };
 
   // Random spanning tree: attach each node (in a random order) to a random
   // already-attached node.
@@ -163,13 +182,14 @@ Topology make_random_connected(NodeId n, std::size_t target_links,
   }
   for (std::size_t i = 1; i < order.size(); ++i) {
     const NodeId parent = order[rng.uniform_index(i)];
+    draw(order[i], parent);
     topo.add_link(order[i], parent);
   }
 
   while (topo.num_links() < target_links) {
     const NodeId a = static_cast<NodeId>(rng.uniform_index(n));
     const NodeId b = static_cast<NodeId>(rng.uniform_index(n));
-    if (a == b || topo.has_link(a, b)) continue;
+    if (a == b || !draw(a, b)) continue;
     topo.add_link(a, b);
   }
   return topo;

@@ -11,13 +11,13 @@
 // BFS and every gossip peer selection — walks one contiguous array instead
 // of chasing a vector-of-vectors. The alive-link count is maintained
 // incrementally on set_alive (O(degree)), making the paper's flood-cost
-// base an O(1) read even on 10k-node topologies.
+// base an O(1) read even on 10k-node topologies. There is no per-link
+// lookup structure: has_link scans one CSR row, and duplicate links are
+// rejected once per rebuild rather than on every add_link.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -52,7 +52,8 @@ class Topology {
  public:
   explicit Topology(NodeId num_nodes);
 
-  /// Adds an undirected link; duplicate and self links are rejected.
+  /// Adds an undirected link. Self links are rejected at once, duplicate
+  /// links when the adjacency is next rebuilt (the first neighbor query).
   void add_link(NodeId a, NodeId b);
 
   NodeId num_nodes() const { return num_nodes_; }
@@ -66,6 +67,7 @@ class Topology {
     return NeighborSpan(csr_neighbors_.data() + begin,
                         csr_offsets_[node + 1] - begin);
   }
+  /// O(degree of a): scans a's CSR row.
   bool has_link(NodeId a, NodeId b) const;
 
   /// Liveness (attack) state. Nodes start alive.
@@ -104,21 +106,17 @@ class Topology {
   std::uint64_t version() const { return version_; }
 
  private:
-  static std::uint64_t pack_link(NodeId a, NodeId b) {
-    if (a > b) std::swap(a, b);
-    return (static_cast<std::uint64_t>(a) << 32) | b;
-  }
   /// Cheap staleness test inlined into every neighbors() call; the
   /// rebuild itself is out of line.
   void ensure_csr() const {
     if (csr_links_ != links_.size() || csr_offsets_.empty()) rebuild_csr();
   }
-  /// Rebuilds the CSR arrays from links_ in O(N + E).
+  /// Rebuilds the CSR arrays from links_ in O(N + E) and asserts that no
+  /// link was added twice.
   void rebuild_csr() const;
 
   NodeId num_nodes_;
   std::vector<Link> links_;
-  std::unordered_set<std::uint64_t> link_set_;  // O(1) has_link / dup check
   std::vector<char> alive_;
   std::size_t alive_count_;
   std::size_t alive_link_count_ = 0;

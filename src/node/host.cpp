@@ -57,14 +57,15 @@ bool Host::try_enqueue(const Task& task) {
   if (!can_accept(task)) return false;
   bandwidth_in_use_ += task.bandwidth_share;
   if (!busy_) {
-    REALTOR_ASSERT(queue_.empty());
+    REALTOR_ASSERT(queue_empty());
     busy_ = true;
     in_service_ = task;
     completion_time_ = engine_.now() + task.size_seconds;
     completion_event_ =
         engine_.schedule_at(completion_time_, [this] { on_completion(); });
   } else {
-    queue_.push_back(task);
+    if (!queue_) queue_.emplace();
+    queue_->push_back(task);
     queued_work_ += task.size_seconds;
   }
   notify_status();
@@ -75,7 +76,7 @@ std::size_t Host::clear() { return drain().size(); }
 
 std::vector<Task> Host::drain() {
   std::vector<Task> out;
-  out.reserve(queue_.size() + 1);
+  out.reserve(queued_count() + 1);
   if (busy_) {
     engine_.cancel(completion_event_);
     completion_event_ = kInvalidEvent;
@@ -87,10 +88,10 @@ std::vector<Task> Host::drain() {
       out.push_back(partial);
     }
   }
-  for (const Task& task : queue_) {
-    out.push_back(task);
+  if (queue_) {
+    out.insert(out.end(), queue_->begin(), queue_->end());
+    queue_->clear();
   }
-  queue_.clear();
   queued_work_ = 0.0;
   bandwidth_in_use_ = 0.0;  // every resident task leaves with its share
   notify_status();
@@ -98,9 +99,9 @@ std::vector<Task> Host::drain() {
 }
 
 std::optional<Task> Host::pop_newest_queued() {
-  if (queue_.empty()) return std::nullopt;
-  Task task = queue_.back();
-  queue_.pop_back();
+  if (queue_empty()) return std::nullopt;
+  Task task = queue_->back();
+  queue_->pop_back();
   queued_work_ -= task.size_seconds;
   if (queued_work_ < 0.0) queued_work_ = 0.0;
   bandwidth_in_use_ -= task.bandwidth_share;
@@ -119,10 +120,10 @@ void Host::set_completion_listener(CompletionListener listener) {
 
 void Host::start_next() {
   REALTOR_ASSERT(!busy_);
-  REALTOR_ASSERT(!queue_.empty());
+  REALTOR_ASSERT(!queue_empty());
   busy_ = true;
-  in_service_ = queue_.front();
-  queue_.pop_front();
+  in_service_ = queue_->front();
+  queue_->pop_front();
   queued_work_ -= in_service_.size_seconds;
   if (queued_work_ < 0.0) queued_work_ = 0.0;  // absorb rounding residue
   completion_time_ = engine_.now() + in_service_.size_seconds;
@@ -147,7 +148,7 @@ void Host::on_completion() {
             .with("response", engine_.now() - finished.arrival_time)
             .with("migrations", finished.migrations));
   }
-  if (!queue_.empty()) {
+  if (!queue_empty()) {
     start_next();
   }
   notify_status();

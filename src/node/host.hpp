@@ -68,7 +68,7 @@ class Host {
   bool try_enqueue(const Task& task);
 
   bool busy() const { return busy_; }
-  std::size_t queued_count() const { return queue_.size(); }
+  std::size_t queued_count() const { return queue_ ? queue_->size() : 0; }
 
   /// Bandwidth shares held by resident tasks, over capacity, in [0, 1].
   double bandwidth_utilization() const;
@@ -111,6 +111,7 @@ class Host {
   void start_next();
   void on_completion();
   void notify_status();
+  bool queue_empty() const { return !queue_ || queue_->empty(); }
 
   sim::Engine& engine_;
   NodeId id_;
@@ -118,7 +119,9 @@ class Host {
   HostResources resources_;
   double bandwidth_in_use_ = 0.0;
 
-  std::deque<Task> queue_;
+  // Engaged on the first queued task: an empty libstdc++ deque already
+  // allocates, and most hosts of a large overlay never queue anything.
+  std::optional<std::deque<Task>> queue_;
   double queued_work_ = 0.0;
 
   bool busy_ = false;

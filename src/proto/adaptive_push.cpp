@@ -9,7 +9,7 @@ AdaptivePushProtocol::AdaptivePushProtocol(NodeId self,
                                            ProtocolEnv env)
     : DiscoveryProtocol(self, config, std::move(env)),
       detector_(config.pledge_threshold),
-      table_(self, config.availability_floor) {}
+      table_(self, config.availability_floor, env_.advert_board) {}
 
 void AdaptivePushProtocol::on_status_change(double occupancy) {
   if (!env_.topology->alive(self_)) return;
@@ -63,8 +63,10 @@ void AdaptivePushProtocol::on_migration_result(NodeId target, double fraction,
 
 void AdaptivePushProtocol::on_self_killed() {
   detector_.reset();
-  table_ = AvailabilityTable(self_, config_.availability_floor);
+  table_.leave();
 }
+
+void AdaptivePushProtocol::on_self_restored() { table_.join(); }
 
 ProtocolProbe AdaptivePushProtocol::probe(SimTime /*now*/) const {
   ProtocolProbe out;

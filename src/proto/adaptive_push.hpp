@@ -29,6 +29,7 @@ class AdaptivePushProtocol final : public DiscoveryProtocol {
   void on_migration_result(NodeId target, double fraction,
                            bool success) override;
   void on_self_killed() override;
+  void on_self_restored() override;
   ProtocolProbe probe(SimTime now) const override;
 
  private:

@@ -22,6 +22,8 @@
 
 namespace realtor::proto {
 
+class AdvertBoard;
+
 /// Environment handed to every protocol instance. Non-owning: the harness
 /// guarantees these outlive the protocol.
 struct ProtocolEnv {
@@ -43,6 +45,10 @@ struct ProtocolEnv {
   /// episode threading disabled; all episodes read 0). Like the tracer it
   /// never influences decisions — allocation is one counter increment.
   obs::EpisodeSource* episodes = nullptr;
+  /// Optional shared board the transport publishes whole-overlay push
+  /// adverts to (nullptr = every advert arrives through on_message). The
+  /// PUSH schemes read it through their AvailabilityTable.
+  AdvertBoard* advert_board = nullptr;
 };
 
 /// Requirements of the task a candidate must be able to take (all

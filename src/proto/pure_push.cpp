@@ -7,7 +7,7 @@ namespace realtor::proto {
 PurePushProtocol::PurePushProtocol(NodeId self, const ProtocolConfig& config,
                                    ProtocolEnv env)
     : DiscoveryProtocol(self, config, std::move(env)),
-      table_(self, config.availability_floor),
+      table_(self, config.availability_floor, env_.advert_board),
       advertiser_(*env_.engine, config.push_interval, [this] { advertise(); }) {}
 
 void PurePushProtocol::start() { advertiser_.start(); }
@@ -61,7 +61,12 @@ void PurePushProtocol::on_migration_result(NodeId target, double fraction,
 
 void PurePushProtocol::on_self_killed() {
   advertiser_.stop();
-  table_ = AvailabilityTable(self_, config_.availability_floor);
+  table_.leave();
+}
+
+void PurePushProtocol::on_self_restored() {
+  table_.join();
+  advertiser_.start();
 }
 
 ProtocolProbe PurePushProtocol::probe(SimTime /*now*/) const {

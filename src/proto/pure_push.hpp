@@ -31,7 +31,7 @@ class PurePushProtocol final : public DiscoveryProtocol {
   void on_migration_result(NodeId target, double fraction,
                            bool success) override;
   void on_self_killed() override;
-  void on_self_restored() override { advertiser_.start(); }
+  void on_self_restored() override;
   ProtocolProbe probe(SimTime now) const override;
 
  private:

@@ -91,6 +91,11 @@ EventId Engine::schedule_at(SimTime t, Callback cb) {
   return pack(slot, s.generation);
 }
 
+void Engine::reserve(std::size_t events) {
+  heap_.reserve(events);
+  slots_.reserve(events);
+}
+
 EventId Engine::schedule_in(SimTime delay, Callback cb) {
   REALTOR_ASSERT_MSG(delay >= 0.0, "negative delay");
   return schedule_at(now_ + delay, std::move(cb));

@@ -48,6 +48,11 @@ class Engine {
   /// Cancels a pending event; no-op if it already fired or was cancelled.
   void cancel(EventId id);
 
+  /// Sizes the slot arena and heap for `events` simultaneously pending
+  /// events up front. Growing them step by step relocates every pending
+  /// callback at each doubling, which dominates building a large world.
+  void reserve(std::size_t events);
+
   /// True if `id` is scheduled and not yet fired/cancelled.
   bool pending(EventId id) const;
 

@@ -30,6 +30,15 @@ TEST(Topology, HasLinkIsSymmetric) {
   EXPECT_FALSE(mesh.has_link(0, 4));
 }
 
+// Duplicates are caught by the adjacency rebuild, not by add_link.
+TEST(TopologyDeathTest, DuplicateLinkIsRejectedAtFirstNeighborQuery) {
+  Topology topo(3);
+  topo.add_link(0, 1);
+  topo.add_link(2, 1);
+  topo.add_link(1, 0);
+  EXPECT_DEATH(topo.neighbors(2), "duplicate link");
+}
+
 TEST(Topology, TorusIsRegular) {
   const Topology torus = make_torus(4, 4);
   EXPECT_EQ(torus.num_links(), 32u);

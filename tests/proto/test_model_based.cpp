@@ -210,6 +210,89 @@ TEST_P(AvailabilityModel, MatchesReferenceUnderRandomOps) {
   }
 }
 
+// Board-backed tables against the old per-receiver semantics: a publish
+// is a delivery to every joined receiver except the origin, leave() empties
+// the receiver's table and join() adds nothing. Two receivers share one
+// board so their join stamps interleave.
+TEST_P(AvailabilityModel, BoardBackedMatchesReferenceUnderRandomOps) {
+  constexpr double kFloor = 0.1;
+  constexpr NodeId kNodes = 10;
+  AdvertBoard board(kNodes);
+  const NodeId selves[2] = {0, 5};
+  AvailabilityTable tables[2] = {AvailabilityTable(selves[0], kFloor, &board),
+                                 AvailabilityTable(selves[1], kFloor, &board)};
+  std::map<NodeId, double> reference[2];
+  bool joined[2] = {true, true};
+  RngStream rng(GetParam(), "board-model");
+  std::vector<NodeId> all;
+  for (NodeId n = 0; n < kNodes; ++n) all.push_back(n);
+
+  for (int step = 0; step < 3000; ++step) {
+    const int r = static_cast<int>(rng.uniform_index(2));
+    const NodeId node = static_cast<NodeId>(rng.uniform_index(kNodes));
+    switch (rng.uniform_index(8)) {
+      case 0: {  // individual delivery
+        const double avail = rng.uniform01();
+        tables[r].update(node, avail, 0.0);
+        reference[r][node] = avail;
+        break;
+      }
+      case 1:
+      case 2: {  // whole-overlay flood from `node`
+        const double avail = rng.uniform01();
+        board.publish(node, avail, 0.0, 255);
+        for (int k = 0; k < 2; ++k) {
+          if (joined[k] && node != selves[k]) reference[k][node] = avail;
+        }
+        break;
+      }
+      case 3: {
+        const double fraction = rng.uniform01();
+        tables[r].debit(node, fraction);
+        const auto it = reference[r].find(node);
+        if (it != reference[r].end()) {
+          it->second = std::max(0.0, it->second - fraction);
+        }
+        break;
+      }
+      case 4:
+        tables[r].invalidate(node);
+        reference[r][node] = 0.0;
+        break;
+      case 5:
+        if (rng.bernoulli(0.5)) {
+          tables[r].leave();
+          reference[r].clear();
+          joined[r] = false;
+        } else {
+          tables[r].join();  // a no-op while still joined
+          joined[r] = true;
+        }
+        break;
+      default: {
+        auto got = tables[r].candidates(all, rng);
+        std::sort(got.begin(), got.end());
+        std::vector<NodeId> expected;
+        for (const auto& [id, avail] : reference[r]) {
+          if (id != selves[r] && avail > kFloor) expected.push_back(id);
+        }
+        ASSERT_EQ(got, expected) << "step " << step;
+        break;
+      }
+    }
+    for (int k = 0; k < 2; ++k) {
+      ASSERT_EQ(tables[k].size(), reference[k].size()) << "step " << step;
+      for (const NodeId peer : all) {
+        const auto it = reference[k].find(peer);
+        ASSERT_EQ(tables[k].heard_from(peer), it != reference[k].end())
+            << "step " << step << " receiver " << selves[k] << " peer " << peer;
+        const double expected = it == reference[k].end() ? 0.0 : it->second;
+        ASSERT_DOUBLE_EQ(tables[k].availability(peer), expected);
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, AvailabilityModel,
                          ::testing::Values(21u, 22u, 23u, 24u, 25u));
 

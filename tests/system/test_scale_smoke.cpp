@@ -2,6 +2,7 @@
 // wall-clock and memory envelopes — the regression tripwire for the
 // zero-copy fan-out + lazy-shortest-paths data path — and a sweep over it
 // must be byte-identical between the serial and multi-worker executors.
+// A 100x100 Push-1 advert round bounds the push path's memory.
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
@@ -59,6 +60,33 @@ TEST(ScaleSmoke, TorusFiftyByFiftyRunsFastAndLean) {
   // few MiB at N=2500; the old dense all-pairs matrix alone was ~25 MiB.
   // Generous bound (includes gtest + allocator slack).
   EXPECT_LT(max_rss_kib(), 512L * 1024L) << "peak RSS " << max_rss_kib()
+                                         << " KiB";
+}
+
+// The push path at N=10000: one Push-1 advert round floods every node's
+// availability to every other node (~10^8 deliveries). Per-receiver
+// tables made that 10^8 table entries (~3 GB); the shared advert board
+// holds one record per advertiser.
+TEST(ScaleSmoke, PushAdvertRoundOnHundredByHundredStaysLean) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "RSS bounds do not apply under sanitizers";
+#endif
+  ScenarioConfig config;
+  config.topology.width = 100;
+  config.topology.height = 100;
+  config.fixed_unicast_cost = 4.0;  // isolate the fan-out path
+  config.protocol_kind = proto::ProtocolKind::kPurePush;
+  config.protocol.push_interval = 1.0;
+  config.duration = 1.02;  // one advert round, at t=1
+  config.lambda = 5000.0;
+  config.seed = 11;
+  Simulation sim(config);
+  const RunMetrics& metrics = sim.run();
+
+  constexpr std::uint64_t kNodes = 10000;
+  EXPECT_EQ(metrics.ledger.sends(net::MessageKind::kPushAdvert), kNodes);
+  EXPECT_EQ(sim.transport().deliveries(), kNodes * (kNodes - 1));
+  EXPECT_LT(max_rss_kib(), 128L * 1024L) << "peak RSS " << max_rss_kib()
                                          << " KiB";
 }
 

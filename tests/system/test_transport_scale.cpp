@@ -4,10 +4,14 @@
 // partition of the alive subgraph.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <variant>
 #include <vector>
 
 #include "experiment/sim_transport.hpp"
 #include "experiment/simulation.hpp"
+#include "proto/availability_table.hpp"
+#include "proto/factory.hpp"
 
 namespace realtor::experiment {
 namespace {
@@ -143,44 +147,158 @@ TEST_F(TransportFanoutTest, EscalateAllocatesExactlyOnePayload) {
   EXPECT_EQ(transport.payload_allocations(), 1u);
 }
 
-// A full simulation (attacks, migrations, periodic floods) must produce
-// identical metrics under forced per-destination and forced batched
-// scheduling — the end-to-end half of the equivalence argument.
-TEST(TransportEquivalence, FullRunMetricsIdenticalAcrossDeliveryModes) {
-  ScenarioConfig config;
-  config.protocol_kind = proto::ProtocolKind::kPurePush;
-  config.duration = 60.0;
-  config.lambda = 6.0;
-  config.seed = 7;
-  AttackWave wave;
-  wave.time = 20.0;
-  wave.count = 3;
-  wave.outage = 15.0;
-  config.attacks.push_back(wave);
-
-  net::LedgerSnapshot ledgers[2];
-  std::uint64_t generated[2], migrated[2], completed[2], lost[2];
-  int i = 0;
+// Push adverts on the batched whole-overlay path go to the advert board,
+// per-destination ones into each receiver's own records. Driven through
+// the same flood + liveness script (including a kill at a flood's
+// timestamp, which lands before the batch), every receiver's table must
+// read the same in both modes, and the transport must count the same
+// deliveries.
+TEST_F(TransportFanoutTest, BoardPublishMatchesPerDestinationTables) {
+  constexpr NodeId kNodes = 25;
+  const auto advert = [](NodeId origin, double availability) {
+    proto::PushAdvertMsg msg;
+    msg.origin = origin;
+    msg.availability = availability;
+    msg.security_level = static_cast<std::uint8_t>(origin);
+    return proto::Message{msg};
+  };
+  std::vector<std::vector<double>> reference;
+  std::uint64_t reference_deliveries = 0;
   for (const SimTransport::DeliveryMode mode :
        {SimTransport::DeliveryMode::kPerDestination,
         SimTransport::DeliveryMode::kBatched}) {
-    Simulation sim(config);
-    sim.transport().set_delivery_mode(mode);
-    const RunMetrics& m = sim.run();
-    ledgers[i] = m.ledger.snapshot();
-    generated[i] = m.generated;
-    migrated[i] = m.admitted_migrated;
-    completed[i] = m.completed;
-    lost[i] = m.lost_to_attack;
-    ++i;
+    sim::Engine engine;
+    net::Topology topo = net::make_mesh(5, 5);
+    net::CostModel cost(topo, net::CostMode::kPaperAverage, 4.0);
+    net::MessageLedger ledger;
+    proto::AdvertBoard board(kNodes);
+    std::vector<proto::AvailabilityTable> tables;
+    for (NodeId id = 0; id < kNodes; ++id) tables.emplace_back(id, 0.1, &board);
+    std::size_t handed_over = 0;
+    SimTransport transport(
+        engine, topo, cost, ledger, 0.0,
+        [&](NodeId to, NodeId, const proto::Message& msg) {
+          const auto& a = std::get<proto::PushAdvertMsg>(msg);
+          tables[to].update(a.origin, a.availability, engine.now(),
+                            a.security_level);
+          ++handed_over;
+        });
+    transport.set_delivery_mode(mode);
+    transport.set_advert_board(&board);
+    const auto kill = [&](NodeId id) {
+      topo.set_alive(id, false);
+      tables[id].leave();
+    };
+    const auto restore = [&](NodeId id) {
+      topo.set_alive(id, true);
+      tables[id].join();
+    };
+    engine.schedule_at(1.0, [&] { transport.flood(3, advert(3, 0.9)); });
+    engine.schedule_at(1.0, [&] { kill(7); });  // lands before the batch
+    engine.schedule_at(2.0, [&] { transport.flood(12, advert(12, 0.8)); });
+    engine.schedule_at(2.5, [&] { tables[4].debit(12, 0.3); });
+    engine.schedule_at(2.5, [&] { tables[5].invalidate(3); });
+    engine.schedule_at(3.0, [&] { restore(7); });
+    engine.schedule_at(4.0, [&] { transport.flood(7, advert(7, 0.7)); });
+    engine.schedule_at(4.0, [&] { kill(9); });
+    engine.schedule_at(5.0, [&] { transport.flood(3, advert(3, 0.6)); });
+    engine.schedule_at(6.0, [&] { restore(9); });
+    engine.run();
+
+    std::vector<std::vector<double>> seen(kNodes);
+    for (NodeId r = 0; r < kNodes; ++r) {
+      for (NodeId o = 0; o < kNodes; ++o) {
+        seen[r].push_back(tables[r].heard_from(o) ? tables[r].availability(o)
+                                                  : -1.0);
+      }
+      seen[r].push_back(static_cast<double>(tables[r].size()));
+    }
+    // Node 7 was dead at the first flood and never sees it; node 9 died
+    // after the floods from 3, 7 and 12 and restarted cold.
+    EXPECT_FALSE(tables[7].heard_from(12));
+    EXPECT_DOUBLE_EQ(tables[7].availability(3), 0.6);
+    EXPECT_EQ(tables[9].size(), 0u);
+    EXPECT_DOUBLE_EQ(tables[4].availability(12), 0.5);
+    EXPECT_DOUBLE_EQ(tables[5].availability(3), 0.6);  // next publish wins
+    if (mode == SimTransport::DeliveryMode::kPerDestination) {
+      reference = seen;
+      reference_deliveries = transport.deliveries();
+      EXPECT_EQ(handed_over, transport.deliveries());
+    } else {
+      EXPECT_EQ(seen, reference);
+      EXPECT_EQ(transport.deliveries(), reference_deliveries);
+      EXPECT_EQ(handed_over, 0u);  // the board replaced every hand-over
+    }
   }
-  EXPECT_EQ(generated[0], generated[1]);
-  EXPECT_EQ(migrated[0], migrated[1]);
-  EXPECT_EQ(completed[0], completed[1]);
-  EXPECT_EQ(lost[0], lost[1]);
-  EXPECT_EQ(ledgers[0].total_sends, ledgers[1].total_sends);
-  EXPECT_DOUBLE_EQ(ledgers[0].total_cost, ledgers[1].total_cost);
-  EXPECT_DOUBLE_EQ(ledgers[0].overhead_cost, ledgers[1].overhead_cost);
+}
+
+// A full simulation (attacks, migrations, periodic or threshold floods)
+// must produce identical metrics under forced per-destination and forced
+// batched scheduling — the end-to-end half of the equivalence argument.
+// Flat Push-1 and Push-.9 runs read the advert board when batched and
+// own records when per-destination; the federated run's group floods use
+// own records in both modes.
+TEST(TransportEquivalence, FullRunMetricsIdenticalAcrossDeliveryModes) {
+  ScenarioConfig push;
+  push.protocol_kind = proto::ProtocolKind::kPurePush;
+  push.duration = 120.0;
+  push.lambda = 9.0;  // queues fill up, so adverts steer migrations
+  push.seed = 7;
+  AttackWave wave;
+  wave.time = 60.0;
+  wave.grace = 5.0;  // victims evacuate through their tables first
+  wave.count = 3;
+  wave.outage = 15.0;
+  push.attacks.push_back(wave);
+  ScenarioConfig adaptive = push;
+  adaptive.protocol_kind = proto::ProtocolKind::kAdaptivePush;
+  ScenarioConfig federated = push;
+  federated.topology.width = 10;
+  federated.topology.height = 10;
+  federated.fixed_unicast_cost.reset();
+  federated.lambda = 36.0;
+  federated.federation.enabled = true;
+  federated.federation.block_width = 5;
+  federated.federation.block_height = 5;
+
+  for (const ScenarioConfig& config : {push, adaptive, federated}) {
+    SCOPED_TRACE(proto::paper_label(config.protocol_kind) +
+                 std::string(config.federation.enabled ? " federated" : ""));
+    net::LedgerSnapshot ledgers[2];
+    std::uint64_t generated[2], migrated[2], completed[2], lost[2];
+    std::uint64_t evacuating[2], evacuated[2], attempts[2], deliveries[2];
+    int i = 0;
+    for (const SimTransport::DeliveryMode mode :
+         {SimTransport::DeliveryMode::kPerDestination,
+          SimTransport::DeliveryMode::kBatched}) {
+      Simulation sim(config);
+      sim.transport().set_delivery_mode(mode);
+      const RunMetrics& m = sim.run();
+      ledgers[i] = m.ledger.snapshot();
+      generated[i] = m.generated;
+      migrated[i] = m.admitted_migrated;
+      completed[i] = m.completed;
+      lost[i] = m.lost_to_attack;
+      evacuating[i] = m.evacuation_candidates;
+      evacuated[i] = m.evacuated;
+      attempts[i] = m.migration_attempts;
+      deliveries[i] = sim.transport().deliveries();
+      ++i;
+    }
+    EXPECT_GT(migrated[0], 0u);
+    EXPECT_GT(evacuating[0], 0u);
+    EXPECT_EQ(generated[0], generated[1]);
+    EXPECT_EQ(migrated[0], migrated[1]);
+    EXPECT_EQ(completed[0], completed[1]);
+    EXPECT_EQ(lost[0], lost[1]);
+    EXPECT_EQ(evacuating[0], evacuating[1]);
+    EXPECT_EQ(evacuated[0], evacuated[1]);
+    EXPECT_EQ(attempts[0], attempts[1]);
+    EXPECT_EQ(deliveries[0], deliveries[1]);
+    EXPECT_EQ(ledgers[0].total_sends, ledgers[1].total_sends);
+    EXPECT_DOUBLE_EQ(ledgers[0].total_cost, ledgers[1].total_cost);
+    EXPECT_DOUBLE_EQ(ledgers[0].overhead_cost, ledgers[1].overhead_cost);
+  }
 }
 
 // Record-and-drop: a unicast between alive endpoints in different
