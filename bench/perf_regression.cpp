@@ -36,15 +36,15 @@
 //                      (tracing never changes decisions).
 //   BENCH_trace.json   the trace-ingest matrix: a deterministic synthetic
 //                      10k-node JSONL trace of --trace-mb megabytes read
-//                      three ways — the legacy ParsedEvent reader, the
-//                      zero-copy EventStore serially, and the EventStore
-//                      with --trace-jobs parse shards — each leg then
-//                      running the two heaviest analyses (--scorecard and
-//                      --check) so the artifact records end-to-end wall
-//                      time, not just parse time. Gated on all legs
-//                      agreeing byte-for-byte: event-stream fingerprint,
-//                      scorecard JSON, invariant-violation list, and
-//                      malformed-line accounting (exit 2 on divergence).
+//                      two ways — the EventStore serially and with
+//                      --trace-jobs parse shards — each leg then running
+//                      the two heaviest analyses (--scorecard and --check)
+//                      so the artifact records end-to-end wall time, not
+//                      just parse time. Gated on the legs agreeing
+//                      byte-for-byte (event-stream fingerprint, scorecard
+//                      JSON, invariant-violation list, malformed-line
+//                      accounting) and, at the pinned sizes, on both legs
+//                      matching the golden fingerprints (exit 2).
 //
 // Flags (besides everything bench_common.hpp documents):
 //   --kernel-out=PATH   default BENCH_kernel.json
@@ -78,14 +78,14 @@
 //                       0 = one per hardware thread)
 //   --trace-reps=R      timed repetitions per leg (default 3; min wins)
 //   --trace-input=PATH  ingest an existing trace instead of generating
-//                       one (the identity gates still run)
+//                       one (serial vs sharded still gates; no golden)
 //   --trace-keep        keep the generated synthetic trace on disk
 //
 // Exit status is nonzero when the parallel sweep output differs from the
 // serial output in any byte, when an N=25 scale cell's metrics diverge
 // from the pre-change reference, when a traced obs leg's metrics diverge
-// from the untraced leg (exit 2), when a trace-ingest leg diverges from
-// the legacy reader in any gated byte (exit 2), or when the
+// from the untraced leg (exit 2), when the trace-ingest legs diverge from
+// each other or from the golden fingerprints (exit 2), or when the
 // flight-recorder overhead exceeds its budget (exit 3) — CI runs this as
 // a determinism gate plus the one timing gate the flight recorder's
 // contract requires.
@@ -122,7 +122,6 @@
 #include "obs/jsonl_sink.hpp"
 #include "obs/live/live_plane.hpp"
 #include "obs/scorecard.hpp"
-#include "obs/trace_reader.hpp"
 #include "proto/factory.hpp"
 #include "sim/engine.hpp"
 
@@ -865,28 +864,26 @@ int run_obs(const Flags& flags) {
 }
 
 // ---------------------------------------------------------------------------
-// Trace-ingest matrix: the zero-copy EventStore against the legacy reader.
+// Trace-ingest matrix: the EventStore, serial and sharded, against goldens.
 //
 // A synthetic 10k-node attack trace is generated deterministically (LCG,
 // fixed seed, integer-rendered timestamps — every machine and locale
 // benches identical bytes): the steady task flow, HELP/pledge traffic,
 // kill/evacuate/restore episodes, escaped string payloads, and an
 // occasional malformed line so the tolerant-accounting path is exercised
-// end to end. Three legs ingest the same file:
+// end to end. Two legs ingest the same file:
 //
-//   legacy_reader   load_trace_file into ParsedEvents — the pre-change
-//                   representation (per-event kind string + field vector);
 //   store_serial    load_trace_store with jobs=1 (mmap + interning, one
-//                   shard) — isolates the data-layout win;
-//   store_parallel  load_trace_store with --trace-jobs shards — adds the
-//                   sharded parse.
+//                   shard);
+//   store_parallel  load_trace_store with --trace-jobs shards.
 //
 // Every leg then runs the two heaviest analyses (the scorecard and the
 // invariant catalog), so the artifact records the end-to-end wall time a
-// `realtor_trace --scorecard`/`--check` user sees. The identity gate is
-// the point: all legs must agree on the event-stream fingerprint, the
-// scorecard JSON, the violation list, and the malformed accounting —
-// byte-for-byte. Exit 2 on any divergence.
+// `realtor_trace --scorecard`/`--check` user sees. The gate is the point:
+// the legs must agree byte-for-byte on the event-stream fingerprint, the
+// scorecard JSON, the violation list and the malformed accounting, and
+// on a generated trace of a pinned size both must match kTraceGoldens.
+// Exit 2 on any divergence.
 
 // unsigned long long so results feed %llu without per-site casts.
 unsigned long long trace_rng(std::uint64_t& state) {
@@ -1035,6 +1032,9 @@ bool write_synthetic_trace(const std::string& path,
   return static_cast<bool>(out);
 }
 
+/// Offset basis of every hash in this section (goldens included).
+constexpr std::uint64_t kFnvBasis = 1469598103934665603ULL;
+
 std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
   const unsigned char* p = static_cast<const unsigned char*>(data);
   for (std::size_t i = 0; i < n; ++i) {
@@ -1050,25 +1050,24 @@ std::uint64_t fnv1a(std::uint64_t h, std::string_view text) {
 /// Hashes one payload field. Numbers go through the locale-independent
 /// %.17g (shortest round-trip superset), so the fingerprint is exact.
 void hash_field(std::uint64_t& h, std::string_view key,
-                obs::JsonValue::Type type, bool boolean, double number,
-                std::string_view text) {
+                const obs::StoredField& field) {
   h = fnv1a(h, key);
-  const unsigned char tag = static_cast<unsigned char>(type);
+  const unsigned char tag = static_cast<unsigned char>(field.type);
   h = fnv1a(h, &tag, 1);
-  switch (type) {
-    case obs::JsonValue::Type::kNumber: {
+  switch (field.type) {
+    case obs::FieldType::kNumber: {
       char buf[40];
-      const int n = format_double(buf, sizeof buf, "%.17g", number);
+      const int n = format_double(buf, sizeof buf, "%.17g", field.number);
       h = fnv1a(h, buf, static_cast<std::size_t>(n));
       break;
     }
-    case obs::JsonValue::Type::kString:
-      h = fnv1a(h, text);
+    case obs::FieldType::kString:
+      h = fnv1a(h, field.text);
       break;
-    case obs::JsonValue::Type::kBool:
-      h = fnv1a(h, boolean ? "1" : "0", 1);
+    case obs::FieldType::kBool:
+      h = fnv1a(h, field.boolean ? "1" : "0", 1);
       break;
-    case obs::JsonValue::Type::kNull:
+    case obs::FieldType::kNull:
       break;
   }
   h = fnv1a(h, "\x1e", 1);
@@ -1085,28 +1084,13 @@ void hash_header(std::uint64_t& h, double time, NodeId node,
   h = fnv1a(h, "\x1f", 1);
 }
 
-std::uint64_t events_fingerprint(const std::vector<obs::ParsedEvent>& events) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const obs::ParsedEvent& event : events) {
-    hash_header(h, event.time, event.node, event.kind);
-    for (const auto& [key, value] : event.fields) {
-      hash_field(h, key, value.type, value.boolean,
-                 value.type == obs::JsonValue::Type::kNumber ? value.number
-                                                             : 0.0,
-                 value.text);
-    }
-  }
-  return h;
-}
-
 std::uint64_t store_fingerprint(const obs::EventStore& store) {
-  std::uint64_t h = 1469598103934665603ULL;
+  std::uint64_t h = kFnvBasis;
   for (const obs::EventRec& rec : store.records()) {
     hash_header(h, rec.time, rec.node, store.name(rec.kind));
     const obs::StoredField* field = store.fields().data() + rec.field_begin;
     for (std::uint32_t i = 0; i < rec.field_count; ++i, ++field) {
-      hash_field(h, store.name(field->key), field->type, field->boolean,
-                 field->number, field->text);
+      hash_field(h, store.name(field->key), *field);
     }
   }
   return h;
@@ -1129,7 +1113,7 @@ std::string render_violations(const std::vector<obs::Violation>& violations) {
   return out;
 }
 
-std::string render_accounting(const obs::TraceLoadStats& stats) {
+std::string render_accounting(const obs::IngestStats& stats) {
   std::string out = "lines=" + std::to_string(stats.lines);
   out += ";events=" + std::to_string(stats.events);
   out += ";malformed=" + std::to_string(stats.malformed);
@@ -1137,6 +1121,32 @@ std::string render_accounting(const obs::TraceLoadStats& stats) {
   out += ";first_error=" + stats.first_error;
   return out;
 }
+
+/// The gated outputs of one ingest of the generated trace. Scorecard and
+/// violation list are FNV-1a hashes of their rendered text.
+struct TraceGolden {
+  double mb;  // --trace-mb the golden was recorded at
+  std::uint64_t events;
+  std::uint64_t fingerprint;
+  std::uint64_t scorecard;
+  std::uint64_t violations;
+  const char* accounting;
+};
+
+/// Recorded from the original per-record string reader, the store's
+/// reference implementation before it was deleted, at the CI size and at
+/// the default size. Both violation lists are empty, so their hash is the
+/// basis.
+constexpr TraceGolden kTraceGoldens[] = {
+    {32.0, 420896, 0x3971d2314596f75fULL, 0xa0e6355a2ffa90abULL,
+     0x14650fb0739d0383ULL,
+     "lines=420906;events=420896;malformed=10;first_line=40000;"
+     "first_error=expected value at offset 34"},
+    {100.0, 1301735, 0x9a6b6c4918f32021ULL, 0xe69084ebddf8b0d7ULL,
+     0x14650fb0739d0383ULL,
+     "lines=1301767;events=1301735;malformed=32;first_line=40000;"
+     "first_error=expected value at offset 34"},
+};
 
 struct TraceLeg {
   const char* name = "";
@@ -1170,41 +1180,19 @@ int run_trace_bench(const Flags& flags) {
       return 1;
     }
   }
+  const TraceGolden* golden = nullptr;
+  if (generated) {
+    for (const TraceGolden& candidate : kTraceGoldens) {
+      if (candidate.mb == mb) golden = &candidate;
+    }
+  }
 
-  TraceLeg legacy, serial, parallel;
-  legacy.name = "legacy_reader";
+  TraceLeg serial, parallel;
   serial.name = "store_serial";
   parallel.name = "store_parallel";
   obs::IngestStats ingest;  // from the parallel leg: bytes/mapped/shards
 
   for (int rep = 0; rep < reps; ++rep) {
-    {
-      std::vector<obs::ParsedEvent> events;
-      obs::TraceLoadStats stats;
-      std::string error;
-      Clock::time_point start = Clock::now();
-      if (!obs::load_trace_file(input, events, stats, &error)) {
-        std::cerr << "legacy reader failed: " << error << '\n';
-        return 1;
-      }
-      const double load = seconds_since(start);
-      if (rep == 0 || load < legacy.load_seconds) legacy.load_seconds = load;
-      start = Clock::now();
-      const obs::Scorecard card = obs::build_scorecard(events);
-      const std::vector<obs::Violation> violations =
-          obs::check_invariants(events);
-      const double analyze = seconds_since(start);
-      if (rep == 0 || analyze < legacy.analyze_seconds) {
-        legacy.analyze_seconds = analyze;
-      }
-      if (rep == 0) {
-        legacy.events = events.size();
-        legacy.fingerprint = events_fingerprint(events);
-        legacy.scorecard = obs::render_scorecard_json(card);
-        legacy.violations = render_violations(violations);
-        legacy.accounting = render_accounting(stats);
-      }
-    }
     for (TraceLeg* leg : {&serial, &parallel}) {
       const unsigned leg_jobs = leg == &serial ? 1 : jobs;
       obs::EventStore store;
@@ -1230,27 +1218,46 @@ int run_trace_bench(const Flags& flags) {
         leg->fingerprint = store_fingerprint(store);
         leg->scorecard = obs::render_scorecard_json(card);
         leg->violations = render_violations(violations);
-        leg->accounting = render_accounting(stats.to_trace_stats());
+        leg->accounting = render_accounting(stats);
         if (leg == &parallel) ingest = std::move(stats);
       }
     }
   }
 
-  bool identical = true;
-  for (const TraceLeg* leg : {&serial, &parallel}) {
-    const auto mismatch = [&](const char* what, bool same) {
-      if (!same) {
-        identical = false;
-        std::cerr << leg->name << " diverged from legacy_reader: " << what
-                  << '\n';
-      }
-    };
-    mismatch("event count", leg->events == legacy.events);
-    mismatch("event fingerprint", leg->fingerprint == legacy.fingerprint);
-    mismatch("scorecard JSON", leg->scorecard == legacy.scorecard);
-    mismatch("violations", leg->violations == legacy.violations);
-    mismatch("malformed accounting", leg->accounting == legacy.accounting);
+  bool legs_agree = true;
+  bool golden_ok = true;
+  const auto check = [](bool& ok, const std::string& who, const char* what,
+                        bool same) {
+    if (!same) {
+      ok = false;
+      std::cerr << who << " diverged: " << what << '\n';
+    }
+  };
+  const std::string pair = "store_parallel vs store_serial";
+  check(legs_agree, pair, "event count", parallel.events == serial.events);
+  check(legs_agree, pair, "event fingerprint",
+        parallel.fingerprint == serial.fingerprint);
+  check(legs_agree, pair, "scorecard JSON",
+        parallel.scorecard == serial.scorecard);
+  check(legs_agree, pair, "violations",
+        parallel.violations == serial.violations);
+  check(legs_agree, pair, "malformed accounting",
+        parallel.accounting == serial.accounting);
+  if (golden != nullptr) {
+    for (const TraceLeg* leg : {&serial, &parallel}) {
+      const std::string who = std::string(leg->name) + " vs golden";
+      check(golden_ok, who, "event count", leg->events == golden->events);
+      check(golden_ok, who, "event fingerprint",
+            leg->fingerprint == golden->fingerprint);
+      check(golden_ok, who, "scorecard JSON",
+            fnv1a(kFnvBasis, leg->scorecard) == golden->scorecard);
+      check(golden_ok, who, "violations",
+            fnv1a(kFnvBasis, leg->violations) == golden->violations);
+      check(golden_ok, who, "malformed accounting",
+            leg->accounting == golden->accounting);
+    }
   }
+  const bool identical = legs_agree && golden_ok;
 
   const double mib = static_cast<double>(ingest.bytes) / (1024.0 * 1024.0);
   const auto rate = [&](const TraceLeg& leg) {
@@ -1259,31 +1266,24 @@ int run_trace_bench(const Flags& flags) {
   const auto total = [](const TraceLeg& leg) {
     return leg.load_seconds + leg.analyze_seconds;
   };
-  const double ingest_speedup_serial =
-      serial.load_seconds > 0.0 ? legacy.load_seconds / serial.load_seconds
-                                : 0.0;
-  const double ingest_speedup =
-      parallel.load_seconds > 0.0
-          ? legacy.load_seconds / parallel.load_seconds
-          : 0.0;
-  const double e2e_speedup =
-      total(parallel) > 0.0 ? total(legacy) / total(parallel) : 0.0;
 
-  std::cout << "trace ingest: " << mib << " MiB, " << legacy.events
+  std::cout << "trace ingest: " << mib << " MiB, " << serial.events
             << " events, "
-            << (legacy.accounting.substr(legacy.accounting.find("malformed=")))
+            << (serial.accounting.substr(serial.accounting.find("malformed=")))
             << ", jobs=" << jobs << ", shards=" << ingest.shards << ", "
             << (ingest.mapped ? "mmap" : "read") << '\n';
-  for (const TraceLeg* leg : {&legacy, &serial, &parallel}) {
+  for (const TraceLeg* leg : {&serial, &parallel}) {
     std::cout << "  " << leg->name << ": load " << leg->load_seconds
               << " s (" << rate(*leg) << " MiB/s), analyze "
               << leg->analyze_seconds << " s, total " << total(*leg)
               << " s\n";
   }
-  std::cout << "  ingest speedup: serial " << ingest_speedup_serial
-            << "x, jobs=" << jobs << " " << ingest_speedup
-            << "x; end-to-end " << e2e_speedup << "x, identical: "
-            << (identical ? "yes" : "NO — ingest divergence") << '\n';
+  std::cout << "  serial vs sharded: "
+            << (legs_agree ? "identical" : "DIVERGED") << ", golden: "
+            << (golden == nullptr ? "[no reference]"
+                : golden_ok       ? "[golden ok]"
+                                  : "[GOLDEN MISMATCH]")
+            << '\n';
 
   const std::string path = flags.get_string("trace-out", "BENCH_trace.json");
   std::ofstream out(path);
@@ -1299,33 +1299,34 @@ int run_trace_bench(const Flags& flags) {
   write_machine_header(out);
   out << "  \"input_mib\": " << mib
       << ",\n  \"input_bytes\": " << ingest.bytes
-      << ",\n  \"events\": " << legacy.events
+      << ",\n  \"events\": " << serial.events
       << ",\n  \"lines\": " << ingest.lines
       << ",\n  \"malformed\": " << ingest.malformed
       << ",\n  \"jobs\": " << jobs << ",\n  \"shards\": " << ingest.shards
       << ",\n  \"mapped\": " << (ingest.mapped ? "true" : "false")
       << ",\n  \"reps\": " << reps << ",\n  \"legs\": [\n";
-  const TraceLeg* legs[] = {&legacy, &serial, &parallel};
-  for (std::size_t i = 0; i < 3; ++i) {
+  const TraceLeg* legs[] = {&serial, &parallel};
+  for (std::size_t i = 0; i < 2; ++i) {
     const TraceLeg& leg = *legs[i];
     out << "    {\"name\": \"" << leg.name
         << "\", \"load_seconds\": " << leg.load_seconds
         << ", \"mib_per_s\": " << rate(leg)
         << ", \"analyze_seconds\": " << leg.analyze_seconds
-        << ", \"total_seconds\": " << total(leg) << "}" << (i < 2 ? "," : "")
+        << ", \"total_seconds\": " << total(leg) << "}" << (i < 1 ? "," : "")
         << '\n';
   }
-  out << "  ],\n  \"ingest_speedup_serial\": " << ingest_speedup_serial
-      << ",\n  \"ingest_speedup_parallel\": " << ingest_speedup
-      << ",\n  \"e2e_speedup_parallel\": " << e2e_speedup
-      << ",\n  \"identical\": " << (identical ? "true" : "false") << "\n}\n";
+  out << "  ],\n  \"golden\": "
+      << (golden == nullptr ? "null" : golden_ok ? "true" : "false")
+      << ",\n  \"identical\": " << (legs_agree ? "true" : "false")
+      << "\n}\n";
   std::cout << "trace ingest matrix -> " << path << '\n';
 
   if (generated && !flags.get_bool("trace-keep", false)) {
     std::remove(input.c_str());
   }
   if (!identical) {
-    std::cerr << "trace ingest diverged from the legacy reader\n";
+    std::cerr << "trace ingest diverged ("
+              << (legs_agree ? "from the golden" : "across legs") << ")\n";
     return 2;
   }
   return 0;

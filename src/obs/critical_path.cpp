@@ -62,7 +62,9 @@ int terminal_rank(EventKind kind) {
 
 void append_row(std::ostringstream& out, const char* name,
                 const Histogram& h) {
-  char row[192];
+  // Sized for the widest possible values (five 31-char doubles, a
+  // 20-digit count), so no row can be truncated.
+  char row[256];
   const OnlineStats& stats = h.stats();
   // Locale-independent doubles; the %12s widths reproduce the historical
   // %12.3f padding byte for byte.

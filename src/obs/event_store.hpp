@@ -1,12 +1,11 @@
-// Zero-copy, data-oriented trace event store — the fast ingest path
-// behind realtor_trace and the bench gates.
+// Zero-copy, data-oriented trace event store — the one reader behind
+// realtor_trace, the analyzers and the bench gates.
 //
-// The original reader (obs/trace_reader.hpp) models each record as a
-// ParsedEvent holding a std::string kind plus a vector of
-// (std::string key, JsonValue) pairs: at 10k-node scale that is several
-// heap allocations per record and the ingest of a multi-hundred-MB trace
-// is dominated by malloc and memcpy, not parsing. The EventStore keeps
-// the same record model but flattens it:
+// A record is a time, a node, a kind and an ordered list of payload
+// fields, each a number, string, bool or null. Holding that as per-record
+// strings and vectors would cost several heap allocations per record, and
+// the ingest of a multi-hundred-MB 10k-node trace would be dominated by
+// malloc and memcpy rather than parsing. The EventStore flattens it:
 //
 //   - the input file is mmap'd (read-stream fallback) and string values
 //     without escapes are string_views straight into the mapping;
@@ -23,9 +22,12 @@
 //     (obs/flight_reader.hpp), skipping the JSON text representation
 //     entirely.
 //
-// The parser replicates the trace_reader grammar bug-for-bug (same
-// accepted lines, same error strings and byte offsets, same malformed
-// accounting), which the event-store tests pin against the legacy reader.
+// Malformed lines are skipped and counted, never guessed at: IngestStats
+// carries the count, the first bad line and a positioned error string.
+// The accepted grammar, the error strings and the accounting are pinned
+// by the event-store tests and by perf_regression's trace gate, which
+// compares the store's event stream, scorecard and invariant verdicts on
+// a generated trace against recorded golden fingerprints.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +39,6 @@
 
 #include "common/types.hpp"
 #include "obs/trace.hpp"
-#include "obs/trace_reader.hpp"
 
 namespace realtor::obs {
 
@@ -151,12 +152,15 @@ class InternTable {
   std::vector<std::uint32_t> slots_;  // id + 1; 0 = empty
 };
 
+/// JSON type of a payload value. The numeric values are part of the
+/// perf_regression event-stream fingerprint; do not reorder.
+enum class FieldType : std::uint8_t { kNull = 0, kNumber, kString, kBool };
+
 /// One payload entry. `text` points into the arena or the mapped file;
-/// `number` is 0.0 for non-number types (the JsonValue contract that
-/// span's apply_field relies on).
+/// `number` is 0.0 for non-number types (normalize_events relies on it).
 struct StoredField {
   StrId key = 0;
-  JsonValue::Type type = JsonValue::Type::kNull;
+  FieldType type = FieldType::kNull;
   bool boolean = false;
   double number = 0.0;
   std::string_view text;
@@ -174,8 +178,7 @@ struct EventRec {
 
 class EventStore;
 
-/// Accessor over one record — the compatibility view consumers port to.
-/// Mirrors ParsedEvent::find()/number() semantics exactly.
+/// Accessor over one record: header fields plus keyed payload lookup.
 class EventView {
  public:
   EventView(const EventStore& store, const EventRec& rec)
@@ -215,8 +218,8 @@ class MappedBuffer {
   MappedBuffer& operator=(const MappedBuffer&) = delete;
 
   /// Maps `path` read-only; falls back to reading the whole file when
-  /// mmap is unavailable. On failure stores "cannot open <path>" (the
-  /// legacy reader's wording) in `error`.
+  /// mmap is unavailable. On failure stores "cannot open <path>" in
+  /// `error`.
   bool open(const std::string& path, std::string* error);
   /// Takes ownership of in-memory bytes (tests, generated traces).
   void adopt(std::string text);
@@ -233,29 +236,19 @@ class MappedBuffer {
   std::size_t map_size_ = 0;
 };
 
-/// What ingest saw. The lines/events/malformed/first_* fields carry the
-/// exact TraceLoadStats semantics (non-empty lines; first malformed line
-/// 1-based over all lines; same error strings), extended with throughput
-/// inputs for `realtor_trace --stats`.
+/// What ingest saw, for JSONL and flight loads alike. Malformed input is
+/// skipped but counted, never silently dropped: realtor_trace reports the
+/// count and --check fails when it is nonzero. Always lines == events +
+/// malformed.
 struct IngestStats {
   std::uint64_t bytes = 0;  // input size
-  std::size_t lines = 0;    // non-empty lines seen
+  std::size_t lines = 0;    // non-empty lines (flight: claimed records)
   std::size_t events = 0;
   std::size_t malformed = 0;
   std::size_t first_malformed_line = 0;  // 1-based; 0 = none
   std::string first_error;
   bool mapped = false;   // mmap path (vs read fallback / in-memory)
   unsigned shards = 1;   // parallel parse shards actually used
-
-  TraceLoadStats to_trace_stats() const {
-    TraceLoadStats stats;
-    stats.lines = lines;
-    stats.events = events;
-    stats.malformed = malformed;
-    stats.first_malformed_line = first_malformed_line;
-    stats.first_error = first_error;
-    return stats;
-  }
 };
 
 /// The flat store: one EventRec array, one StoredField array, one intern
@@ -283,7 +276,7 @@ class EventStore {
   const char* name_cstr(StrId id) const { return interner_.name_cstr(id); }
   EventKind kind_of(StrId id) const { return interner_.kind(id); }
 
-  // --- builder API (flight decode, ParsedEvent conversion, tests) -------
+  // --- builder API (flight decode, tests) -------------------------------
   StrId intern(std::string_view text) {
     return interner_.intern(text, arena_);
   }
@@ -342,9 +335,7 @@ inline const StoredField* EventView::fields_end() const {
 /// Loads a JSONL trace into `out` with tolerant (count-and-skip)
 /// malformed-line semantics, parsing with up to `jobs` threads
 /// (0 = resolve_jobs). Returns false only when the path cannot be read.
-/// Accepted lines, malformed accounting and error strings are identical
-/// to load_trace_file(); serial and parallel loads produce identical
-/// stores.
+/// Serial and parallel loads produce identical stores and accounting.
 bool load_trace_store(const std::string& path, EventStore& out,
                       IngestStats& stats, std::string* error = nullptr,
                       unsigned jobs = 1);
@@ -353,9 +344,5 @@ bool load_trace_store(const std::string& path, EventStore& out,
 /// into the adopted buffer). For tests and generated traces.
 bool load_trace_buffer(std::string text, EventStore& out, IngestStats& stats,
                        std::string* error = nullptr, unsigned jobs = 1);
-
-/// Converts legacy ParsedEvents into a store (used by the compatibility
-/// overloads so analyzers have a single store-based implementation).
-EventStore store_from_events(const std::vector<ParsedEvent>& events);
 
 }  // namespace realtor::obs

@@ -23,13 +23,6 @@ struct ByteCursor {
     pos += sizeof(T);
     return true;
   }
-
-  bool read_bytes(std::string& out, std::size_t n) {
-    if (pos + n > size) return false;
-    out.assign(data + pos, n);
-    pos += n;
-    return true;
-  }
 };
 
 bool fail(std::string* error, const char* what) {
@@ -37,204 +30,13 @@ bool fail(std::string* error, const char* what) {
   return false;
 }
 
-bool read_whole_file(const std::string& path, std::string& out,
-                     std::string* error) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    if (error != nullptr) *error = "cannot open " + path;
-    return false;
-  }
-  std::fseek(file, 0, SEEK_END);
-  const long end = std::ftell(file);
-  std::fseek(file, 0, SEEK_SET);
-  if (end < 0) {
-    std::fclose(file);
-    return fail(error, "cannot size file");
-  }
-  out.resize(static_cast<std::size_t>(end));
-  const std::size_t got = std::fread(out.data(), 1, out.size(), file);
-  std::fclose(file);
-  if (got != out.size()) return fail(error, "short read");
-  return true;
-}
-
-/// One packed record back into the JSONL event model. False when the
-/// record references an unknown kind or name id (a corrupt dump).
-bool unpack(const FlightRecord& record,
-            const std::vector<std::string>& names, ParsedEvent& out) {
-  if (record.kind >= static_cast<std::uint8_t>(EventKind::kCount)) {
-    return false;
-  }
-  if (record.field_count > kMaxTraceFields) return false;
-  out.time = record.time;
-  out.node = static_cast<NodeId>(record.node);
-  out.kind = to_string(static_cast<EventKind>(record.kind));
-  out.fields.clear();
-  out.fields.reserve(record.field_count);
-  for (std::uint8_t i = 0; i < record.field_count; ++i) {
-    const FlightField& field = record.fields[i];
-    if (field.key >= names.size()) return false;
-    JsonValue value;
-    switch (static_cast<TraceField::Type>(field.type)) {
-      case TraceField::Type::kUint:
-        value.type = JsonValue::Type::kNumber;
-        value.number = static_cast<double>(field.bits);
-        break;
-      case TraceField::Type::kDouble: {
-        const double d = std::bit_cast<double>(field.bits);
-        if (std::isfinite(d)) {
-          value.type = JsonValue::Type::kNumber;
-          value.number = d;
-        } else {
-          // The JSONL sink quotes non-finite doubles; match it so binary
-          // and JSONL round trips of one run parse identically.
-          value.type = JsonValue::Type::kString;
-          value.text = std::isnan(d) ? "nan" : (d > 0 ? "inf" : "-inf");
-        }
-        break;
-      }
-      case TraceField::Type::kString:
-        if (field.bits >= names.size()) return false;
-        value.type = JsonValue::Type::kString;
-        value.text = names[static_cast<std::size_t>(field.bits)];
-        break;
-      case TraceField::Type::kBool:
-        value.type = JsonValue::Type::kBool;
-        value.boolean = field.bits != 0;
-        break;
-      case TraceField::Type::kNone:
-        value.type = JsonValue::Type::kNull;
-        break;
-      default:
-        return false;
-    }
-    out.fields.emplace_back(names[field.key], std::move(value));
-  }
-  return true;
-}
-
-}  // namespace
-
-std::uint64_t FlightDump::total_recorded() const {
-  std::uint64_t total = 0;
-  for (const FlightRingInfo& ring : rings) total += ring.recorded;
-  return total;
-}
-
-std::uint64_t FlightDump::total_dropped() const {
-  std::uint64_t total = 0;
-  for (const FlightRingInfo& ring : rings) total += ring.dropped;
-  return total;
-}
-
-bool is_flight_file(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return false;
-  char magic[sizeof(kFlightMagic)];
-  const std::size_t got = std::fread(magic, 1, sizeof(magic), file);
-  std::fclose(file);
-  return got == sizeof(magic) &&
-         std::memcmp(magic, kFlightMagic, sizeof(magic)) == 0;
-}
-
-bool load_flight_file(const std::string& path, FlightDump& out,
-                      std::string* error) {
-  out = FlightDump{};
-  std::string bytes;
-  if (!read_whole_file(path, bytes, error)) return false;
-  ByteCursor cursor{bytes.data(), bytes.size()};
-
-  char magic[sizeof(kFlightMagic)];
-  if (!cursor.read(magic) ||
-      std::memcmp(magic, kFlightMagic, sizeof(magic)) != 0) {
-    return fail(error, "not a flight-recorder dump (bad magic)");
-  }
-
-  std::uint32_t name_count = 0;
-  if (!cursor.read(name_count)) return fail(error, "truncated name table");
-  out.names.reserve(name_count);
-  for (std::uint32_t i = 0; i < name_count; ++i) {
-    std::uint16_t len = 0;
-    std::string name;
-    if (!cursor.read(len) || !cursor.read_bytes(name, len)) {
-      return fail(error, "truncated name table");
-    }
-    out.names.push_back(std::move(name));
-  }
-
-  std::uint32_t ring_count = 0;
-  if (!cursor.read(ring_count)) return fail(error, "truncated ring count");
-  for (std::uint32_t r = 0; r < ring_count; ++r) {
-    FlightRingInfo info;
-    if (!cursor.read(info)) {
-      // A dump with zero intact ring headers carries no information —
-      // fail. Past the first ring, salvage what earlier rings yielded.
-      if (r == 0) return fail(error, "truncated ring header");
-      out.truncated = true;
-      break;
-    }
-    std::uint64_t consumed = 0;  // records fully read off the cursor
-    bool cut = false;
-    for (std::uint64_t i = 0; i < info.stored; ++i) {
-      FlightRecord record;
-      if (!cursor.read(record)) {
-        cut = true;
-        break;
-      }
-      ++consumed;
-      ParsedEvent event;
-      if (!unpack(record, out.names, event)) {
-        // Corrupt record body (unknown kind, field count, or name id):
-        // count it and keep going — the fixed record size means the
-        // cursor is still aligned on the next record.
-        ++out.malformed;
-        continue;
-      }
-      out.events.push_back(std::move(event));
-    }
-    out.rings.push_back(info);
-    if (cut) {
-      // Mid-ring truncation: everything the ring claimed past the cut is
-      // unrecoverable — count it and stop (later rings start at unknown
-      // offsets).
-      out.truncated = true;
-      out.malformed += info.stored - consumed;
-      break;
-    }
-  }
-  if (!out.truncated && cursor.pos != cursor.size) {
-    return fail(error, "trailing bytes");
-  }
-
-  // Multi-ring dumps (agile: one ring per host) interleave by time; a
-  // stable sort keeps ring-major order on ties and is a no-op for the
-  // single-ring simulation dumps, which are already in emission order.
-  std::stable_sort(out.events.begin(), out.events.end(),
-                   [](const ParsedEvent& a, const ParsedEvent& b) {
-                     return a.time < b.time;
-                   });
-  return true;
-}
-
-std::uint64_t FlightStoreInfo::total_recorded() const {
-  std::uint64_t total = 0;
-  for (const FlightRingInfo& ring : rings) total += ring.recorded;
-  return total;
-}
-
-std::uint64_t FlightStoreInfo::total_dropped() const {
-  std::uint64_t total = 0;
-  for (const FlightRingInfo& ring : rings) total += ring.dropped;
-  return total;
-}
-
-namespace {
-
 /// Validates a packed record against the name table without touching the
-/// store; nullptr when intact, else the rejection reason. The checks and
-/// their order mirror the legacy unpack().
+/// store; nullptr when intact, else the rejection reason.
 const char* record_defect(const FlightRecord& record,
                           std::size_t name_count) {
+  // The JSONL sink would quote a non-finite time, and the JSONL reader
+  // rejects a record whose "t" is not a number; reject it here too.
+  if (!std::isfinite(record.time)) return "non-finite time";
   if (record.kind >= static_cast<std::uint8_t>(EventKind::kCount)) {
     return "unknown event kind";
   }
@@ -260,14 +62,38 @@ const char* record_defect(const FlightRecord& record,
 
 }  // namespace
 
+bool is_flight_file(const std::string& path) {
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) return false;
+  char magic[sizeof(kFlightMagic)];
+  const std::size_t got = std::fread(magic, 1, sizeof(magic), file);
+  std::fclose(file);
+  return got == sizeof(magic) &&
+         std::memcmp(magic, kFlightMagic, sizeof(magic)) == 0;
+}
+
+std::uint64_t FlightStoreInfo::total_recorded() const {
+  std::uint64_t total = 0;
+  for (const FlightRingInfo& ring : rings) total += ring.recorded;
+  return total;
+}
+
+std::uint64_t FlightStoreInfo::total_dropped() const {
+  std::uint64_t total = 0;
+  for (const FlightRingInfo& ring : rings) total += ring.dropped;
+  return total;
+}
+
 bool load_flight_file(const std::string& path, EventStore& out,
-                      FlightStoreInfo& info, TraceLoadStats& stats,
+                      FlightStoreInfo& info, IngestStats& stats,
                       std::string* error) {
   out = EventStore{};
   info = FlightStoreInfo{};
-  stats = TraceLoadStats{};
+  stats = IngestStats{};
   MappedBuffer buffer;
   if (!buffer.open(path, error)) return false;
+  stats.bytes = buffer.size();
+  stats.mapped = buffer.mapped();
   ByteCursor cursor{buffer.data(), buffer.size()};
 
   char magic[sizeof(kFlightMagic)];
@@ -281,7 +107,10 @@ bool load_flight_file(const std::string& path, EventStore& out,
   std::uint32_t name_count = 0;
   if (!cursor.read(name_count)) return fail(error, "truncated name table");
   std::vector<StrId> name_ids;
-  name_ids.reserve(name_count);
+  // Each name costs at least its 2-byte length prefix, so a damaged count
+  // can never reserve more than the file could hold.
+  name_ids.reserve(std::min<std::size_t>(
+      name_count, (cursor.size - cursor.pos) / sizeof(std::uint16_t)));
   for (std::uint32_t i = 0; i < name_count; ++i) {
     std::uint16_t len = 0;
     if (!cursor.read(len) || cursor.pos + len > cursor.size) {
@@ -374,12 +203,16 @@ bool load_flight_file(const std::string& path, EventStore& out,
     info.rings.push_back(ring);
     if (cut) {
       // Mid-ring truncation: the remainder of the ring's claimed records
-      // is unrecoverable — account every one of them.
+      // is unrecoverable. Account all of them at once — a damaged header
+      // can claim far more records than any loop should walk.
       info.truncated = true;
-      for (std::uint64_t lost = consumed; lost < ring.stored; ++lost) {
-        ++stats.lines;
-        note_malformed("truncated record");
+      const std::uint64_t lost = ring.stored - consumed;
+      if (stats.first_malformed_line == 0) {
+        stats.first_malformed_line = stats.lines + 1;
+        stats.first_error = "truncated record";
       }
+      stats.lines += lost;
+      stats.malformed += lost;
       break;
     }
   }

@@ -1,8 +1,8 @@
 // Reader for flight-recorder dumps (see flight_recorder.hpp for the
-// format). Converts the packed rings back into the exact event model the
-// JSONL reader produces — a std::vector<ParsedEvent> — so every consumer
-// of JSONL traces (realtor_trace modes, the span builder, the invariant
-// checker, the scorecard) runs unchanged on binary dumps.
+// format). Decodes the packed rings straight into an EventStore — the
+// same store the JSONL loader fills — so every realtor_trace mode, the
+// span builder, the invariant checker and the scorecard run unchanged on
+// binary dumps.
 //
 // Semantics match a JSONL round trip field for field: uints come back as
 // JSON numbers, non-finite doubles come back as the quoted strings the
@@ -15,68 +15,43 @@
 
 #include "obs/event_store.hpp"
 #include "obs/flight_recorder.hpp"
-#include "obs/trace_reader.hpp"
 
 namespace realtor::obs {
-
-struct FlightDump {
-  std::vector<std::string> names;
-  std::vector<FlightRingInfo> rings;
-  /// All rings' records merged into one stream, sorted by time (stable:
-  /// ties keep ring order, and within a ring the recorded order). For the
-  /// single-ring simulation dumps this is exactly emission order.
-  std::vector<ParsedEvent> events;
-  /// Records the file claimed but the reader could not recover: packed
-  /// records rejected by unpack (unknown kind / out-of-range name id) plus
-  /// records lost to mid-ring truncation. The JSONL analogue of
-  /// ReadStats::malformed — `realtor_trace --check` fails when non-zero.
-  std::uint64_t malformed = 0;
-  /// True when the file ended mid-ring: every intact record up to the cut
-  /// was salvaged into `events` and the remainder counted in `malformed`.
-  bool truncated = false;
-
-  std::uint64_t total_recorded() const;
-  std::uint64_t total_dropped() const;
-};
 
 /// True when the file starts with the flight-recorder magic — how
 /// realtor_trace auto-detects binary dumps next to JSONL traces.
 bool is_flight_file(const std::string& path);
 
-/// Loads a dump. False with a reason in `error` only when nothing is
-/// recoverable: unreadable file, bad magic, or a header (name table /
-/// ring count / first ring header) cut short. Damage past the headers —
-/// a ring truncated mid-record, records with unknown kinds or name ids —
-/// never fails the load: intact records are salvaged into `out.events`
-/// and the loss is surfaced via `out.malformed` / `out.truncated`.
-bool load_flight_file(const std::string& path, FlightDump& out,
-                      std::string* error = nullptr);
-
-/// Ring/truncation telemetry of a store-based load (the FlightDump fields
-/// that are not the events themselves).
+/// Ring/truncation telemetry of a dump (what the store does not hold).
 struct FlightStoreInfo {
   std::vector<FlightRingInfo> rings;
+  /// True when the file ended mid-ring: every intact record up to the cut
+  /// was salvaged and the remainder counted as malformed.
   bool truncated = false;
 
   std::uint64_t total_recorded() const;
   std::uint64_t total_dropped() const;
 };
 
-/// Direct decode into an EventStore: packed records become EventRecs and
-/// StoredFields straight away — no per-record strings, no JSON text round
-/// trip. Same salvage semantics and failure conditions as the FlightDump
-/// overload, and the same event model (uints as numbers, non-finite
-/// doubles as quoted "nan"/"inf"/"-inf" strings, node 0xFFFFFFFF as
-/// kInvalidNode, stable time sort across rings).
+/// Loads a dump into `out`. All rings' records are merged into one
+/// stream, stably sorted by time (ties keep ring order, and within a ring
+/// the recorded order); for single-ring simulation dumps that is exactly
+/// emission order.
 ///
-/// Malformed accounting lands in `stats` with the exact trace_reader
-/// semantics: `lines` counts the records the intact ring headers claimed,
-/// `events` the decoded ones, `malformed` = lines - events (rejected
-/// records plus records lost to mid-ring truncation),
-/// `first_malformed_line` the 1-based ordinal of the first lost record in
-/// ring-major order, `first_error` the reason.
+/// False with a reason in `error` only when nothing is recoverable:
+/// unreadable file, bad magic, or a header (name table / ring count /
+/// first ring header) cut short. Damage past the headers — a ring
+/// truncated mid-record, records with unknown kinds or name ids — never
+/// fails the load: intact records are salvaged and the loss is counted.
+///
+/// Accounting lands in `stats` with the JSONL loader's meaning: `lines`
+/// counts the records the intact ring headers claimed, `events` the
+/// decoded ones, `malformed` = lines - events (rejected records plus
+/// records lost to mid-ring truncation), `first_malformed_line` the
+/// 1-based ordinal of the first lost record in ring-major order,
+/// `first_error` the reason; `bytes` is the file size.
 bool load_flight_file(const std::string& path, EventStore& out,
-                      FlightStoreInfo& info, TraceLoadStats& stats,
+                      FlightStoreInfo& info, IngestStats& stats,
                       std::string* error = nullptr);
 
 }  // namespace realtor::obs

@@ -208,11 +208,6 @@ std::vector<Violation> check_invariants(const std::vector<TraceEvent>& events,
   return check_invariants(normalize_events(events), config);
 }
 
-std::vector<Violation> check_invariants(const std::vector<ParsedEvent>& events,
-                                        const InvariantConfig& config) {
-  return check_invariants(normalize_events(events), config);
-}
-
 std::vector<Violation> check_invariants(const EventStore& store,
                                         const InvariantConfig& config) {
   return check_invariants(normalize_events(store), config);

@@ -120,11 +120,13 @@ Scorecard build_scorecard(const EventStore& store) {
     AttackReport wave;
     wave.index = card.attacks.size();
     wave.kill_time = kills[i].time;
-    while (i < kills.size() && kills[i].time == wave.kill_time) {
+    // do-while: a wave holds at least its first kill, so a time that
+    // equals nothing (NaN) still advances instead of looping forever.
+    do {
       wave.victims.push_back(kills[i].node);
       wave.lost += kills[i].lost;
       ++i;
-    }
+    } while (i < kills.size() && kills[i].time == wave.kill_time);
     std::sort(wave.victims.begin(), wave.victims.end());
     card.attacks.push_back(std::move(wave));
   }
@@ -196,10 +198,6 @@ Scorecard build_scorecard(const EventStore& store) {
   }
 
   return card;
-}
-
-Scorecard build_scorecard(const std::vector<ParsedEvent>& events) {
-  return build_scorecard(store_from_events(events));
 }
 
 std::string render_scorecard_json(const Scorecard& card) {
@@ -287,7 +285,9 @@ namespace {
 
 void append_latency_text(std::string& out, const char* label,
                          const Histogram& histogram) {
-  char buf[160];
+  // Sized for the widest possible values (five 31-char doubles, a
+  // 20-digit count), so no line can be truncated.
+  char buf[256];
   const auto& stats = histogram.stats();
   if (stats.count() == 0) {
     std::snprintf(buf, sizeof buf, "  %-24s (no samples)\n", label);

@@ -32,7 +32,6 @@
 #include "common/types.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "obs/trace_reader.hpp"
 
 namespace realtor::obs {
 
@@ -84,9 +83,6 @@ struct Scorecard {
 /// Builds the scorecard from a loaded trace (JSONL or flight dump).
 /// Events must be in time order (both loaders guarantee it).
 Scorecard build_scorecard(const EventStore& store);
-/// Compatibility overload: converts into a store first, so both paths run
-/// the same implementation.
-Scorecard build_scorecard(const std::vector<ParsedEvent>& events);
 
 /// Machine-readable form; byte-identical for identical inputs.
 std::string render_scorecard_json(const Scorecard& scorecard);

@@ -62,35 +62,12 @@ SpanEvent normalize(const TraceEvent& event) {
   return out;
 }
 
-bool normalize(const ParsedEvent& event, SpanEvent& out) {
-  if (!parse_event_kind(event.kind, out.kind)) return false;
-  out.time = event.time;
-  out.node = event.node;
-  for (const auto& [key, value] : event.fields) {
-    apply_field(out, key, value.number, value.boolean,
-                value.type == JsonValue::Type::kBool);
-  }
-  return true;
-}
-
 std::vector<SpanEvent> normalize_events(
     const std::vector<TraceEvent>& events) {
   std::vector<SpanEvent> out;
   out.reserve(events.size());
   for (const TraceEvent& event : events) {
     out.push_back(normalize(event));
-  }
-  return out;
-}
-
-std::vector<SpanEvent> normalize_events(
-    const std::vector<ParsedEvent>& events) {
-  std::vector<SpanEvent> out;
-  out.reserve(events.size());
-  SpanEvent span;
-  for (const ParsedEvent& event : events) {
-    span = SpanEvent{};
-    if (normalize(event, span)) out.push_back(span);
   }
   return out;
 }
@@ -138,7 +115,7 @@ std::vector<SpanEvent> normalize_events(const EventStore& store) {
       } else if (field->key == urgency) {
         span.urgency = number;
       } else if (field->key == answered &&
-                 field->type == JsonValue::Type::kBool) {
+                 field->type == FieldType::kBool) {
         span.answered = field->boolean;
       } else if (field->key == id) {
         span.lineage = static_cast<std::uint64_t>(number);

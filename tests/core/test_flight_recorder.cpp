@@ -1,11 +1,15 @@
 // Flight recorder: ring semantics (wrap-around, drop accounting), binary
 // dump/load round trips across every payload type, the dump-on-attack
-// window, and — the property the design stands on — field-for-field
+// window, damaged-dump salvage (truncation, corrupt records, corrupt
+// headers), and — the property the design stands on — field-for-field
 // equivalence between a flight dump and a JSONL trace of the same seeded
 // run.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstddef>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -14,16 +18,27 @@
 #include <vector>
 
 #include "experiment/simulation.hpp"
+#include "obs/event_store.hpp"
 #include "obs/flight_reader.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/jsonl_sink.hpp"
-#include "obs/trace_reader.hpp"
 
 namespace realtor::obs {
 namespace {
 
 std::string temp_path(const char* name) {
   return ::testing::TempDir() + name;
+}
+
+/// One flight dump as the reader sees it.
+struct Dump {
+  EventStore store;
+  FlightStoreInfo info;
+  IngestStats stats;
+};
+
+bool load_dump(const std::string& path, Dump& out, std::string* error) {
+  return load_flight_file(path, out.store, out.info, out.stats, error);
 }
 
 TraceEvent numbered(double time, std::uint64_t seq) {
@@ -83,34 +98,34 @@ TEST(FlightRecorder, DumpRoundTripsEveryPayloadType) {
   ASSERT_TRUE(recorder.dump(path));
 
   ASSERT_TRUE(is_flight_file(path));
-  FlightDump dump;
+  Dump dump;
   std::string error;
-  ASSERT_TRUE(load_flight_file(path, dump, &error)) << error;
-  ASSERT_EQ(dump.events.size(), 2u);
+  ASSERT_TRUE(load_dump(path, dump, &error)) << error;
+  ASSERT_EQ(dump.store.size(), 2u);
 
-  const ParsedEvent& first = dump.events[0];
-  EXPECT_DOUBLE_EQ(first.time, 2.5);
-  EXPECT_EQ(first.node, 3u);
-  EXPECT_EQ(first.kind, "pledge_received");
+  const EventView first = dump.store[0];
+  EXPECT_DOUBLE_EQ(first.time(), 2.5);
+  EXPECT_EQ(first.node(), 3u);
+  EXPECT_EQ(first.kind(), "pledge_received");
   EXPECT_DOUBLE_EQ(first.number("episode"), 42.0);
   EXPECT_DOUBLE_EQ(first.number("availability"), 0.625);
-  const JsonValue* reason = first.find("reason");
+  const StoredField* reason = first.find("reason");
   ASSERT_NE(reason, nullptr);
-  EXPECT_EQ(reason->type, JsonValue::Type::kString);
+  EXPECT_EQ(reason->type, FieldType::kString);
   EXPECT_EQ(reason->text, "capacity");
-  const JsonValue* answered = first.find("answered");
+  const StoredField* answered = first.find("answered");
   ASSERT_NE(answered, nullptr);
-  EXPECT_EQ(answered->type, JsonValue::Type::kBool);
+  EXPECT_EQ(answered->type, FieldType::kBool);
   EXPECT_TRUE(answered->boolean);
   // Non-finite doubles read back as the quoted strings the JSONL sink
   // would have written.
-  const JsonValue* bad = first.find("bad");
+  const StoredField* bad = first.find("bad");
   ASSERT_NE(bad, nullptr);
-  EXPECT_EQ(bad->type, JsonValue::Type::kString);
+  EXPECT_EQ(bad->type, FieldType::kString);
   EXPECT_EQ(bad->text, "nan");
 
   // The system-wide record keeps its omitted-node sentinel.
-  EXPECT_EQ(dump.events[1].node, kInvalidNode);
+  EXPECT_EQ(dump.store[1].node(), kInvalidNode);
   std::remove(path.c_str());
 }
 
@@ -125,7 +140,6 @@ TEST(FlightRecorder, RepeatedDumpsOfOneRunAreByteIdentical) {
   ASSERT_TRUE(recorder.dump(path_a));
   ASSERT_TRUE(recorder.dump(path_b));
 
-  std::vector<ParsedEvent> ignored;
   std::string a;
   std::string b;
   for (auto [path, out] : {std::pair{&path_a, &a}, std::pair{&path_b, &b}}) {
@@ -153,15 +167,15 @@ TEST(FlightRecorder, MultiRingDumpMergesByTime) {
   b.on_event(numbered(4.0, 3));
   ASSERT_TRUE(recorder.dump(path));
 
-  FlightDump dump;
+  Dump dump;
   std::string error;
-  ASSERT_TRUE(load_flight_file(path, dump, &error)) << error;
-  ASSERT_EQ(dump.rings.size(), 2u);
-  EXPECT_EQ(dump.rings[0].source, 10u);
-  EXPECT_EQ(dump.rings[1].source, 11u);
-  ASSERT_EQ(dump.events.size(), 4u);
-  for (std::size_t i = 0; i + 1 < dump.events.size(); ++i) {
-    EXPECT_LE(dump.events[i].time, dump.events[i + 1].time);
+  ASSERT_TRUE(load_dump(path, dump, &error)) << error;
+  ASSERT_EQ(dump.info.rings.size(), 2u);
+  EXPECT_EQ(dump.info.rings[0].source, 10u);
+  EXPECT_EQ(dump.info.rings[1].source, 11u);
+  ASSERT_EQ(dump.store.size(), 4u);
+  for (std::size_t i = 0; i + 1 < dump.store.size(); ++i) {
+    EXPECT_LE(dump.store[i].time(), dump.store[i + 1].time());
   }
   std::remove(path.c_str());
 }
@@ -178,26 +192,33 @@ experiment::ScenarioConfig attack_scenario() {
   return config;
 }
 
-bool same_event(const ParsedEvent& a, const ParsedEvent& b) {
-  if (a.time != b.time || a.node != b.node || a.kind != b.kind ||
-      a.fields.size() != b.fields.size()) {
+/// Record-for-record equality across two stores (interned ids may differ;
+/// names and values must not).
+bool same_event(const EventStore& a, std::size_t i, const EventStore& b,
+                std::size_t j) {
+  const EventView va = a[i];
+  const EventView vb = b[j];
+  if (va.time() != vb.time() || va.node() != vb.node() ||
+      va.kind() != vb.kind() || va.field_count() != vb.field_count()) {
     return false;
   }
-  for (std::size_t i = 0; i < a.fields.size(); ++i) {
-    const auto& [key_a, value_a] = a.fields[i];
-    const auto& [key_b, value_b] = b.fields[i];
-    if (key_a != key_b || value_a.type != value_b.type) return false;
-    switch (value_a.type) {
-      case JsonValue::Type::kNumber:
-        if (value_a.number != value_b.number) return false;
+  const StoredField* fa = va.fields_begin();
+  const StoredField* fb = vb.fields_begin();
+  for (std::size_t f = 0; f < va.field_count(); ++f, ++fa, ++fb) {
+    if (a.name(fa->key) != b.name(fb->key) || fa->type != fb->type) {
+      return false;
+    }
+    switch (fa->type) {
+      case FieldType::kNumber:
+        if (fa->number != fb->number) return false;
         break;
-      case JsonValue::Type::kString:
-        if (value_a.text != value_b.text) return false;
+      case FieldType::kString:
+        if (fa->text != fb->text) return false;
         break;
-      case JsonValue::Type::kBool:
-        if (value_a.boolean != value_b.boolean) return false;
+      case FieldType::kBool:
+        if (fa->boolean != fb->boolean) return false;
         break;
-      case JsonValue::Type::kNull:
+      case FieldType::kNull:
         break;
     }
   }
@@ -225,17 +246,21 @@ TEST(FlightRecorder, MatchesJsonlTraceOfTheSameRun) {
   }
   EXPECT_EQ(recorder.total_dropped(), 0u);
 
-  std::vector<ParsedEvent> jsonl_events;
+  EventStore jsonl;
+  IngestStats jsonl_stats;
   std::string error;
-  ASSERT_TRUE(load_trace_file(jsonl_path, jsonl_events, &error)) << error;
-  FlightDump dump;
-  ASSERT_TRUE(load_flight_file(flight_path, dump, &error)) << error;
+  ASSERT_TRUE(load_trace_store(jsonl_path, jsonl, jsonl_stats, &error))
+      << error;
+  ASSERT_EQ(jsonl_stats.malformed, 0u);
+  Dump dump;
+  ASSERT_TRUE(load_dump(flight_path, dump, &error)) << error;
+  EXPECT_EQ(dump.stats.malformed, 0u);
 
-  ASSERT_EQ(dump.events.size(), jsonl_events.size());
-  ASSERT_GT(jsonl_events.size(), 1000u);  // a real run, not a stub
-  for (std::size_t i = 0; i < jsonl_events.size(); ++i) {
-    ASSERT_TRUE(same_event(jsonl_events[i], dump.events[i]))
-        << "event " << i << " diverged (" << jsonl_events[i].kind << ")";
+  ASSERT_EQ(dump.store.size(), jsonl.size());
+  ASSERT_GT(jsonl.size(), 1000u);  // a real run, not a stub
+  for (std::size_t i = 0; i < jsonl.size(); ++i) {
+    ASSERT_TRUE(same_event(jsonl, i, dump.store, i))
+        << "event " << i << " diverged (" << jsonl[i].kind() << ")";
   }
   std::remove(jsonl_path.c_str());
   std::remove(flight_path.c_str());
@@ -258,16 +283,16 @@ TEST(FlightRecorder, AttackDumpCapturesThePreKillWindow) {
   ASSERT_EQ(dumps, 1u);
   ASSERT_GT(kill_time, 0.0);
 
-  FlightDump dump;
+  Dump dump;
   std::string error;
-  ASSERT_TRUE(load_flight_file(path, dump, &error)) << error;
-  ASSERT_FALSE(dump.events.empty());
+  ASSERT_TRUE(load_dump(path, dump, &error)) << error;
+  ASSERT_FALSE(dump.store.empty());
   std::size_t kills = 0;
-  for (const ParsedEvent& event : dump.events) {
+  for (std::size_t i = 0; i < dump.store.size(); ++i) {
     // Snapshot taken right after the kills landed: nothing from the
     // post-attack future can be in the file.
-    ASSERT_LE(event.time, kill_time);
-    if (event.kind == "node_killed") ++kills;
+    ASSERT_LE(dump.store[i].time(), kill_time);
+    if (dump.store[i].kind_enum() == EventKind::kNodeKilled) ++kills;
   }
   EXPECT_EQ(kills, 3u);  // the wave's victims, captured mid-flight
   std::remove(path.c_str());
@@ -312,9 +337,9 @@ TEST(FlightReader, ByteTruncatedDumpsSalvageOrFailButNeverCrash) {
   for (std::size_t len = 0; len <= full.size(); ++len) {
     SCOPED_TRACE("prefix length " + std::to_string(len));
     spit(path, full.substr(0, len));
-    FlightDump dump;
+    Dump dump;
     std::string error;
-    const bool loaded = load_flight_file(path, dump, &error);
+    const bool loaded = load_dump(path, dump, &error);
     if (len < records_begin) {
       // The cut landed in the header (magic, name table, ring count or
       // the first ring header): nothing salvageable, clean failure.
@@ -325,14 +350,20 @@ TEST(FlightReader, ByteTruncatedDumpsSalvageOrFailButNeverCrash) {
     ASSERT_TRUE(loaded) << error;
     // Salvage accounting: every record the ring header promised is either
     // a parsed event or counted as unrecoverable — none vanish silently.
-    ASSERT_EQ(dump.rings.size(), 1u);
-    EXPECT_EQ(dump.events.size() + dump.malformed, kRecords);
+    ASSERT_EQ(dump.info.rings.size(), 1u);
+    EXPECT_EQ(dump.stats.lines, kRecords);
+    EXPECT_EQ(dump.store.size() + dump.stats.malformed, kRecords);
+    EXPECT_EQ(dump.stats.events, dump.store.size());
     const std::uint64_t intact =
         (len - records_begin) / sizeof(FlightRecord);
-    EXPECT_EQ(dump.events.size(), intact);
-    EXPECT_EQ(dump.truncated, len < full.size());
+    EXPECT_EQ(dump.store.size(), intact);
+    EXPECT_EQ(dump.info.truncated, len < full.size());
     if (len == full.size()) {
-      EXPECT_EQ(dump.malformed, 0u);
+      EXPECT_EQ(dump.stats.malformed, 0u);
+    } else {
+      // The first lost record is the first one past the cut.
+      EXPECT_EQ(dump.stats.first_malformed_line, intact + 1);
+      EXPECT_EQ(dump.stats.first_error, "truncated record");
     }
   }
   std::remove(path.c_str());
@@ -353,16 +384,18 @@ TEST(FlightReader, CorruptRecordIsCountedAndTheRestStillLoad) {
       static_cast<char>(0xFF);
   spit(path, bytes);
 
-  FlightDump dump;
+  Dump dump;
   std::string error;
-  ASSERT_TRUE(load_flight_file(path, dump, &error)) << error;
+  ASSERT_TRUE(load_dump(path, dump, &error)) << error;
   // Fixed-width records keep the cursor aligned past the damage: exactly
   // one record is lost, the remaining seven parse normally.
-  EXPECT_EQ(dump.malformed, 1u);
-  EXPECT_FALSE(dump.truncated);
-  ASSERT_EQ(dump.events.size(), kRecords - 1);
-  for (const ParsedEvent& event : dump.events) {
-    EXPECT_EQ(event.kind, "help_sent");
+  EXPECT_EQ(dump.stats.malformed, 1u);
+  EXPECT_EQ(dump.stats.first_malformed_line, 4u);
+  EXPECT_EQ(dump.stats.first_error, "unknown event kind");
+  EXPECT_FALSE(dump.info.truncated);
+  ASSERT_EQ(dump.store.size(), kRecords - 1);
+  for (std::size_t i = 0; i < dump.store.size(); ++i) {
+    EXPECT_EQ(dump.store[i].kind(), "help_sent");
   }
   std::remove(path.c_str());
 }
@@ -385,15 +418,71 @@ TEST(FlightReader, SecondRingHeaderCutSalvagesTheFirstRing) {
                                           sizeof(FlightRingInfo);
   spit(path, bytes.substr(0, second_header_begin + 4));
 
-  FlightDump dump;
+  Dump dump;
   std::string error;
-  ASSERT_TRUE(load_flight_file(path, dump, &error)) << error;
-  EXPECT_TRUE(dump.truncated);
-  ASSERT_EQ(dump.rings.size(), 1u);
-  EXPECT_EQ(dump.rings[0].source, 10u);
-  ASSERT_EQ(dump.events.size(), 2u);
-  EXPECT_DOUBLE_EQ(dump.events[0].time, 1.0);
-  EXPECT_DOUBLE_EQ(dump.events[1].time, 2.0);
+  ASSERT_TRUE(load_dump(path, dump, &error)) << error;
+  EXPECT_TRUE(dump.info.truncated);
+  ASSERT_EQ(dump.info.rings.size(), 1u);
+  EXPECT_EQ(dump.info.rings[0].source, 10u);
+  ASSERT_EQ(dump.store.size(), 2u);
+  EXPECT_DOUBLE_EQ(dump.store[0].time(), 1.0);
+  EXPECT_DOUBLE_EQ(dump.store[1].time(), 2.0);
+  std::remove(path.c_str());
+}
+
+/// Loads `path`, failing the test if the load takes longer than a reader
+/// that touches each byte a bounded number of times could (generous, for
+/// sanitizer builds).
+bool load_quickly(const std::string& path, Dump& dump, std::string& error) {
+  const auto start = std::chrono::steady_clock::now();
+  const bool loaded = load_dump(path, dump, &error);
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          start)
+                .count(),
+            5.0);
+  return loaded;
+}
+
+TEST(FlightReader, HugeClaimedRecordCountIsAccountedWithoutWalkingIt) {
+  // A damaged ring header claims 2^40 records. The reader must salvage
+  // the intact ones and count the rest in O(1), not loop over them.
+  const std::string path = temp_path("flight_huge_stored.bin");
+  std::size_t records_begin = 0;
+  constexpr std::uint64_t kRecords = 6;
+  std::string bytes = small_dump(path, kRecords, records_begin);
+  constexpr std::uint64_t kClaimed = std::uint64_t{1} << 40;
+  const std::size_t stored_at = records_begin - sizeof(FlightRingInfo) +
+                                offsetof(FlightRingInfo, stored);
+  std::memcpy(bytes.data() + stored_at, &kClaimed, sizeof kClaimed);
+  spit(path, bytes);
+
+  Dump dump;
+  std::string error;
+  ASSERT_TRUE(load_quickly(path, dump, error)) << error;
+  EXPECT_TRUE(dump.info.truncated);
+  EXPECT_EQ(dump.store.size(), kRecords);
+  EXPECT_EQ(dump.stats.lines, kClaimed);
+  EXPECT_EQ(dump.stats.malformed, kClaimed - kRecords);
+  EXPECT_EQ(dump.stats.lines, dump.stats.events + dump.stats.malformed);
+  EXPECT_EQ(dump.stats.first_malformed_line, kRecords + 1);
+  EXPECT_EQ(dump.stats.first_error, "truncated record");
+  std::remove(path.c_str());
+}
+
+TEST(FlightReader, HugeNameCountFailsCleanly) {
+  // A damaged name-table count must not size an allocation: the table
+  // runs out of bytes long before 2^32 names, and the load fails.
+  const std::string path = temp_path("flight_huge_names.bin");
+  std::size_t records_begin = 0;
+  std::string bytes = small_dump(path, 4, records_begin);
+  const std::uint32_t kNames = 0xFFFFFFF0u;
+  std::memcpy(bytes.data() + sizeof(kFlightMagic), &kNames, sizeof kNames);
+  spit(path, bytes);
+
+  Dump dump;
+  std::string error;
+  EXPECT_FALSE(load_quickly(path, dump, error));
+  EXPECT_EQ(error, "truncated name table");
   std::remove(path.c_str());
 }
 
@@ -404,10 +493,10 @@ TEST(FlightDumpSink, DumpsOnFlushAndOnDestruction) {
     sink.on_event(numbered(1.0, 0));
     sink.flush();
   }
-  FlightDump dump;
+  Dump dump;
   std::string error;
-  ASSERT_TRUE(load_flight_file(path, dump, &error)) << error;
-  ASSERT_EQ(dump.events.size(), 1u);
+  ASSERT_TRUE(load_dump(path, dump, &error)) << error;
+  ASSERT_EQ(dump.store.size(), 1u);
   std::remove(path.c_str());
 
   {
@@ -415,9 +504,9 @@ TEST(FlightDumpSink, DumpsOnFlushAndOnDestruction) {
     sink.on_event(numbered(2.0, 1));
     // No flush: the destructor must still write the file.
   }
-  ASSERT_TRUE(load_flight_file(path, dump, &error)) << error;
-  ASSERT_EQ(dump.events.size(), 1u);
-  EXPECT_DOUBLE_EQ(dump.events[0].time, 2.0);
+  ASSERT_TRUE(load_dump(path, dump, &error)) << error;
+  ASSERT_EQ(dump.store.size(), 1u);
+  EXPECT_DOUBLE_EQ(dump.store[0].time(), 2.0);
   std::remove(path.c_str());
 }
 

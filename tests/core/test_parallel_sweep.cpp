@@ -107,7 +107,8 @@ SweepOptions attack_grid_options(unsigned jobs) {
   wave.time = 45.0;
   wave.grace = 1.0;
   wave.outage = 8.0;
-  for (const std::size_t victims : {2, 4, 6}) {
+  for (const std::size_t victims :
+       {std::size_t{2}, std::size_t{4}, std::size_t{6}}) {
     wave.count = victims;
     options.attack_sets.push_back({wave});
   }

@@ -7,10 +7,10 @@
 #include <set>
 
 #include "experiment/simulation.hpp"
+#include "obs/event_store.hpp"
 #include "obs/jsonl_sink.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
-#include "obs/trace_reader.hpp"
 
 namespace realtor::obs {
 namespace {
@@ -68,20 +68,26 @@ TEST(SpanNormalize, JsonlRoundTripMatchesLiveEvent) {
       .with("urgency", 0.75)
       .with("answered", true)
       .with("episode", std::uint64_t{3});
-  ParsedEvent parsed;
-  ASSERT_TRUE(parse_jsonl_line(format_jsonl(event), parsed));
-  SpanEvent from_jsonl;
-  ASSERT_TRUE(normalize(parsed, from_jsonl));
+  // A record of an unknown kind next to it is skipped, not treated as
+  // data.
+  const std::string jsonl = format_jsonl(event) +
+                            "\n{\"t\":2.5,\"node\":6,\"kind\":"
+                            "\"no_such_kind\",\"episode\":9}\n";
+  EventStore store;
+  IngestStats stats;
+  ASSERT_TRUE(load_trace_buffer(jsonl, store, stats));
+  ASSERT_EQ(store.size(), 2u);
+  const std::vector<SpanEvent> spans = normalize_events(store);
+  ASSERT_EQ(spans.size(), 1u);
+  const SpanEvent& from_jsonl = spans[0];
   const SpanEvent live = normalize(event);
+  EXPECT_EQ(from_jsonl.time, live.time);
+  EXPECT_EQ(from_jsonl.node, live.node);
   EXPECT_EQ(from_jsonl.kind, live.kind);
   EXPECT_EQ(from_jsonl.peer, live.peer);
   EXPECT_EQ(from_jsonl.episode, live.episode);
   EXPECT_EQ(from_jsonl.answered, live.answered);
   EXPECT_DOUBLE_EQ(from_jsonl.urgency, live.urgency);
-
-  parsed.kind = "no_such_kind";
-  SpanEvent ignored;
-  EXPECT_FALSE(normalize(parsed, ignored));
 }
 
 // The tentpole's core property: every solicited PLEDGE echoes the episode

@@ -5,14 +5,15 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/log.hpp"
+#include "obs/event_store.hpp"
 #include "obs/jsonl_sink.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
 #include "obs/trace.hpp"
-#include "obs/trace_reader.hpp"
 #include "sim/engine.hpp"
 
 namespace realtor::obs {
@@ -109,8 +110,15 @@ TEST(JsonlFormat, NonFiniteDoublesAreQuoted) {
   EXPECT_NE(line.find("\"bad\":\"nan\""), std::string::npos);
   EXPECT_NE(line.find("\"inf\":\"inf\""), std::string::npos);
   // And the reader still accepts the line.
-  ParsedEvent parsed;
-  EXPECT_TRUE(parse_jsonl_line(line, parsed));
+  EventStore store;
+  IngestStats stats;
+  ASSERT_TRUE(load_trace_buffer(line + "\n", store, stats));
+  EXPECT_EQ(stats.malformed, 0u);
+  ASSERT_EQ(store.size(), 1u);
+  const StoredField* bad = store[0].find("bad");
+  ASSERT_NE(bad, nullptr);
+  EXPECT_EQ(bad->type, FieldType::kString);
+  EXPECT_EQ(bad->text, "nan");
 }
 
 TEST(JsonlSink, WritesOneLinePerEvent) {
@@ -128,55 +136,72 @@ TEST(JsonlSink, WritesOneLinePerEvent) {
 TEST(TraceReader, RoundTripsFormattedEvents) {
   TraceEvent event(3.25, 9, EventKind::kPledgeReceived);
   event.with("pledger", 4).with("availability", 0.625).with("fresh", true);
-  ParsedEvent parsed;
-  std::string error;
-  ASSERT_TRUE(parse_jsonl_line(format_jsonl(event), parsed, &error)) << error;
-  EXPECT_DOUBLE_EQ(parsed.time, 3.25);
-  EXPECT_EQ(parsed.node, 9u);
-  EXPECT_EQ(parsed.kind, "pledge_received");
+  EventStore store;
+  IngestStats stats;
+  ASSERT_TRUE(load_trace_buffer(format_jsonl(event) + "\n", store, stats));
+  ASSERT_EQ(stats.malformed, 0u) << stats.first_error;
+  ASSERT_EQ(store.size(), 1u);
+  const EventView parsed = store[0];
+  EXPECT_DOUBLE_EQ(parsed.time(), 3.25);
+  EXPECT_EQ(parsed.node(), 9u);
+  EXPECT_EQ(parsed.kind(), "pledge_received");
+  EXPECT_EQ(parsed.kind_enum(), EventKind::kPledgeReceived);
   EXPECT_DOUBLE_EQ(parsed.number("pledger"), 4.0);
   EXPECT_DOUBLE_EQ(parsed.number("availability"), 0.625);
-  const JsonValue* fresh = parsed.find("fresh");
+  const StoredField* fresh = parsed.find("fresh");
   ASSERT_NE(fresh, nullptr);
-  EXPECT_EQ(fresh->type, JsonValue::Type::kBool);
+  EXPECT_EQ(fresh->type, FieldType::kBool);
   EXPECT_TRUE(fresh->boolean);
   EXPECT_EQ(parsed.find("absent"), nullptr);
   EXPECT_DOUBLE_EQ(parsed.number("absent", -1.0), -1.0);
 }
 
 TEST(TraceReader, RejectsMalformedLinesWithPosition) {
-  ParsedEvent parsed;
-  std::string error;
-  EXPECT_FALSE(parse_jsonl_line("not json", parsed, &error));
-  EXPECT_NE(error.find("offset"), std::string::npos);
-  EXPECT_FALSE(parse_jsonl_line(R"({"node":1,"kind":"solicit"})", parsed,
-                                &error));  // missing "t"
-  EXPECT_FALSE(parse_jsonl_line(R"({"t":1.0,"node":2})", parsed,
-                                &error));  // missing "kind"
+  // Each rejection names the reason and the byte offset it stopped at.
+  const std::pair<const char*, const char*> kCases[] = {
+      {"not json", "expected '{' at offset 0"},
+      {R"({"node":1,"kind":"solicit"})", "record has no \"t\" at offset 27"},
+      {R"({"t":1.0,"node":2})", "record has no \"kind\" at offset 18"},
+  };
+  for (const auto& [line, expected] : kCases) {
+    EventStore store;
+    IngestStats stats;
+    ASSERT_TRUE(load_trace_buffer(std::string(line) + "\n", store, stats));
+    EXPECT_EQ(store.size(), 0u) << line;
+    EXPECT_EQ(stats.malformed, 1u) << line;
+    EXPECT_EQ(stats.first_error, expected) << line;
+  }
 }
 
 TEST(TraceReader, LoadsFileAndReportsBadLineNumber) {
   const std::string path =
-      ::testing::TempDir() + "realtor_trace_reader_test.jsonl";
+      ::testing::TempDir() + "realtor_trace_load_test.jsonl";
   {
     std::ofstream out(path);
     out << format_jsonl(TraceEvent(1.0, 0, EventKind::kHelpSent)) << '\n';
     out << '\n';  // blank lines are tolerated
     out << format_jsonl(TraceEvent(2.0, 1, EventKind::kPledgeSent)) << '\n';
   }
-  std::vector<ParsedEvent> events;
+  EventStore store;
+  IngestStats stats;
   std::string error;
-  ASSERT_TRUE(load_trace_file(path, events, &error)) << error;
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[1].kind, "pledge_sent");
+  ASSERT_TRUE(load_trace_store(path, store, stats, &error)) << error;
+  ASSERT_EQ(store.size(), 2u);
+  EXPECT_EQ(store[1].kind(), "pledge_sent");
+  EXPECT_EQ(stats.lines, 2u);  // the blank line is not counted
+  EXPECT_EQ(stats.malformed, 0u);
 
   {
     std::ofstream out(path, std::ios::app);
     out << "{broken\n";
   }
-  events.clear();
-  EXPECT_FALSE(load_trace_file(path, events, &error));
-  EXPECT_NE(error.find("line 4"), std::string::npos) << error;
+  // Line numbers count every line, blank ones included.
+  ASSERT_TRUE(load_trace_store(path, store, stats, &error)) << error;
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_EQ(stats.lines, 3u);
+  EXPECT_EQ(stats.malformed, 1u);
+  EXPECT_EQ(stats.first_malformed_line, 4u);
+  EXPECT_EQ(stats.first_error, "expected '\"' at offset 1");
   std::remove(path.c_str());
 }
 
@@ -190,22 +215,23 @@ TEST(TraceReader, TolerantLoadCountsMalformedLinesInsteadOfAborting) {
     out << format_jsonl(TraceEvent(2.0, 1, EventKind::kPledgeSent)) << '\n';
     out << "also not json\n";
   }
-  std::vector<ParsedEvent> events;
-  TraceLoadStats stats;
+  EventStore store;
+  IngestStats stats;
   std::string error;
-  ASSERT_TRUE(load_trace_file(path, events, stats, &error)) << error;
+  ASSERT_TRUE(load_trace_store(path, store, stats, &error)) << error;
   // Every parsable event survives; nothing is silently dropped.
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[1].kind, "pledge_sent");
+  ASSERT_EQ(store.size(), 2u);
+  EXPECT_EQ(store[1].kind(), "pledge_sent");
   EXPECT_EQ(stats.lines, 4u);
   EXPECT_EQ(stats.events, 2u);
   EXPECT_EQ(stats.malformed, 2u);
   EXPECT_EQ(stats.first_malformed_line, 2u);
-  EXPECT_FALSE(stats.first_error.empty());
+  EXPECT_EQ(stats.first_error, "expected '\"' at offset 1");
   std::remove(path.c_str());
 
-  // Only an unreadable path fails the tolerant variant.
-  EXPECT_FALSE(load_trace_file(path, events, stats, &error));
+  // Only an unreadable path fails the load.
+  EXPECT_FALSE(load_trace_store(path, store, stats, &error));
+  EXPECT_EQ(error, "cannot open " + path);
 }
 
 TEST(JsonlSink, BufferedModeKeepsOrderAndFlushDrains) {

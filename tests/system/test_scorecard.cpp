@@ -12,12 +12,12 @@
 
 #include "experiment/simulation.hpp"
 #include "experiment/sweep.hpp"
+#include "obs/event_store.hpp"
 #include "obs/flight_reader.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/invariants.hpp"
 #include "obs/jsonl_sink.hpp"
 #include "obs/scorecard.hpp"
-#include "obs/trace_reader.hpp"
 
 namespace realtor::obs {
 namespace {
@@ -44,7 +44,7 @@ std::string per_test_path(const std::string& stem) {
          '.' + stem;
 }
 
-std::vector<ParsedEvent> traced_run() {
+EventStore traced_run() {
   const std::string path = per_test_path("scorecard_run.jsonl");
   {
     experiment::Simulation sim(attack_scenario());
@@ -53,16 +53,30 @@ std::vector<ParsedEvent> traced_run() {
     sim.run();
     sink.flush();
   }
-  std::vector<ParsedEvent> events;
+  EventStore events;
+  IngestStats stats;
   std::string error;
-  const bool loaded = load_trace_file(path, events, &error);
+  const bool loaded = load_trace_store(path, events, stats, &error);
   std::remove(path.c_str());
   if (!loaded) ADD_FAILURE() << error;
+  if (stats.malformed != 0) ADD_FAILURE() << stats.first_error;
+  return events;
+}
+
+/// Loads a flight dump; adds a test failure when it does not load.
+EventStore load_dump(const std::string& path) {
+  EventStore events;
+  FlightStoreInfo info;
+  IngestStats stats;
+  std::string error;
+  if (!load_flight_file(path, events, info, stats, &error)) {
+    ADD_FAILURE() << path << ": " << error;
+  }
   return events;
 }
 
 TEST(Scorecard, AttributesTheAttackWave) {
-  const std::vector<ParsedEvent> events = traced_run();
+  const EventStore events = traced_run();
   const Scorecard card = build_scorecard(events);
 
   EXPECT_EQ(card.records, events.size());
@@ -84,8 +98,8 @@ TEST(Scorecard, AttributesTheAttackWave) {
 }
 
 TEST(Scorecard, JsonIsByteIdenticalAcrossRepeatedRuns) {
-  const std::vector<ParsedEvent> first = traced_run();
-  const std::vector<ParsedEvent> second = traced_run();
+  const EventStore first = traced_run();
+  const EventStore second = traced_run();
   const std::string json_a = render_scorecard_json(build_scorecard(first));
   const std::string json_b = render_scorecard_json(build_scorecard(second));
   EXPECT_EQ(json_a, json_b);
@@ -95,7 +109,7 @@ TEST(Scorecard, JsonIsByteIdenticalAcrossRepeatedRuns) {
 }
 
 TEST(Scorecard, FlightDumpAndJsonlAgree) {
-  const std::vector<ParsedEvent> jsonl_events = traced_run();
+  const EventStore jsonl_events = traced_run();
 
   const std::string path = ::testing::TempDir() + "scorecard_flight.bin";
   FlightRecorder recorder(1 << 20);
@@ -105,13 +119,11 @@ TEST(Scorecard, FlightDumpAndJsonlAgree) {
     sim.run();
     ASSERT_TRUE(recorder.dump(path));
   }
-  FlightDump dump;
-  std::string error;
-  ASSERT_TRUE(load_flight_file(path, dump, &error)) << error;
+  const EventStore dump = load_dump(path);
   std::remove(path.c_str());
 
   EXPECT_EQ(render_scorecard_json(build_scorecard(jsonl_events)),
-            render_scorecard_json(build_scorecard(dump.events)));
+            render_scorecard_json(build_scorecard(dump)));
 }
 
 TEST(Scorecard, ByteIdenticalAcrossSweepJobCounts) {
@@ -141,10 +153,8 @@ TEST(Scorecard, ByteIdenticalAcrossSweepJobCounts) {
     std::sort(paths.begin(), paths.end());
     std::vector<std::string> rendered;
     for (const std::string& path : paths) {
-      FlightDump dump;
-      std::string error;
-      EXPECT_TRUE(load_flight_file(path, dump, &error)) << error;
-      rendered.push_back(render_scorecard_json(build_scorecard(dump.events)));
+      rendered.push_back(
+          render_scorecard_json(build_scorecard(load_dump(path))));
       std::remove(path.c_str());
     }
     return rendered;
@@ -165,12 +175,11 @@ TEST(Scorecard, FlightDumpPassesTheInvariantChecker) {
     sim.run();
     ASSERT_TRUE(recorder.dump(path));
   }
-  FlightDump dump;
-  std::string error;
-  ASSERT_TRUE(load_flight_file(path, dump, &error)) << error;
+  const EventStore dump = load_dump(path);
   std::remove(path.c_str());
+  ASSERT_FALSE(dump.empty());
 
-  const std::vector<Violation> violations = check_invariants(dump.events);
+  const std::vector<Violation> violations = check_invariants(dump);
   EXPECT_TRUE(violations.empty())
       << violations.size() << " violations, first: "
       << (violations.empty() ? "" : violations[0].detail);

@@ -29,7 +29,7 @@
 //                                          # 10 sim s) boundary; "-" /
 //                                          # "fd:3" stream to stdout / an
 //                                          # inherited descriptor
-//   realtor_sim --live-metrics=live.prom \
+//   realtor_sim --live-metrics=live.prom --alert=RULES, e.g.
 //     --alert="p99:episode_p99>5/60,storm:help_rate>3x/30"
 //                                          # custom alert rules (comma
 //                                          # list; see obs/live/rules.hpp
@@ -46,7 +46,7 @@
 //   realtor_sim --sweep=2,8 --jobs=4       # sweep on 4 worker threads
 //                                          # (byte-identical output; 0 =
 //                                          # one per hardware thread)
-//   realtor_sim --sweep=6 \
+//   realtor_sim --sweep=6 --attack-sweep=SETS, e.g.
 //     --attack-sweep="150:5:1:60;150:10:1:60;150:20:1:60"
 //                                          # sweep attack schedules too:
 //                                          # ';'-separated sets, each a

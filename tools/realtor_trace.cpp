@@ -101,7 +101,6 @@
 #include "obs/scorecard.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
-#include "obs/trace_reader.hpp"
 
 namespace {
 
@@ -120,16 +119,16 @@ struct KindSummary {
 
 std::string format_value(const obs::StoredField& field) {
   switch (field.type) {
-    case obs::JsonValue::Type::kNumber: {
+    case obs::FieldType::kNumber: {
       char buf[32];
       format_double(buf, sizeof buf, "%g", field.number);
       return buf;
     }
-    case obs::JsonValue::Type::kString:
+    case obs::FieldType::kString:
       return std::string(field.text);
-    case obs::JsonValue::Type::kBool:
+    case obs::FieldType::kBool:
       return field.boolean ? "true" : "false";
-    case obs::JsonValue::Type::kNull:
+    case obs::FieldType::kNull:
       return "null";
   }
   return "";
@@ -522,6 +521,26 @@ int run_export_perfetto(const obs::EventStore& store, const Flags& flags) {
   return kExitOk;
 }
 
+/// A loaded input's accounting. Flight dumps also carry ring telemetry.
+struct LoadedInput {
+  obs::IngestStats stats;
+  bool flight = false;
+  obs::FlightStoreInfo flight_info;  // flight dumps only
+};
+
+/// The one ingest path of every mode, --follow included: flight dumps are
+/// detected by their magic, anything else is read as (sharded) JSONL.
+bool load_input(const std::string& path, unsigned jobs,
+                obs::EventStore& store, LoadedInput& input,
+                std::string* error) {
+  input.flight = obs::is_flight_file(path);
+  if (input.flight) {
+    return obs::load_flight_file(path, store, input.flight_info, input.stats,
+                                 error);
+  }
+  return obs::load_trace_store(path, store, input.stats, error, jobs);
+}
+
 std::uint64_t file_size_of(const std::string& path) {
   std::ifstream file(path, std::ios::binary | std::ios::ate);
   if (!file) return 0;
@@ -708,21 +727,9 @@ int run_follow(const std::string& path, const Flags& flags, unsigned jobs) {
   // dashboard cadence.
   std::uint64_t dropped = 0;
   const auto load = [&](obs::EventStore& store, std::string* error) {
-    dropped = 0;
-    if (obs::is_flight_file(path)) {
-      obs::FlightStoreInfo info;
-      obs::TraceLoadStats fstats;
-      if (!obs::load_flight_file(path, store, info, fstats, error)) {
-        return false;
-      }
-      dropped = fstats.malformed;
-      return true;
-    }
-    obs::IngestStats istats;
-    if (!obs::load_trace_store(path, store, istats, error, jobs)) {
-      return false;
-    }
-    dropped = istats.malformed;
+    LoadedInput input;
+    if (!load_input(path, jobs, store, input, error)) return false;
+    dropped = input.stats.malformed;
     return true;
   };
 
@@ -829,70 +836,53 @@ int main(int argc, char** argv) {
 
   obs::EventStore store;
   std::string error;
-  // Input records/lines that were skipped rather than analyzed; any
-  // --check gate refuses a clean verdict while this is non-zero.
-  std::uint64_t dropped_input = 0;
-  std::uint64_t ingest_bytes = 0;
-  std::size_t ingest_malformed = 0;
-  unsigned ingest_shards = 1;
-  const char* ingest_mode = "read";
   const auto ingest_start = std::chrono::steady_clock::now();
-  if (obs::is_flight_file(path)) {
-    obs::FlightStoreInfo info;
-    obs::TraceLoadStats fstats;
-    if (!obs::load_flight_file(path, store, info, fstats, &error)) {
-      std::cerr << path << ": " << error << '\n';
-      return kExitUsage;
-    }
+  LoadedInput input;
+  if (!load_input(path, jobs, store, input, &error)) {
+    std::cerr << path << ": " << error << '\n';
+    return kExitUsage;
+  }
+  const obs::IngestStats& ingest = input.stats;
+  if (input.flight) {
+    const obs::FlightStoreInfo& info = input.flight_info;
     if (info.total_dropped() > 0) {
       std::cerr << path << ": ring wrap-around dropped "
                 << info.total_dropped()
                 << " oldest record(s) before the dump\n";
     }
-    if (fstats.malformed > 0) {
+    if (ingest.malformed > 0) {
       std::cerr << path << ": "
                 << (info.truncated ? "truncated dump, " : "")
-                << fstats.malformed
+                << ingest.malformed
                 << " unrecoverable record(s) skipped\n";
     }
-    dropped_input = fstats.malformed;
-    ingest_malformed = fstats.malformed;
-    ingest_bytes = file_size_of(path);
-    ingest_mode = "flight";
-  } else {
-    obs::IngestStats istats;
-    if (!obs::load_trace_store(path, store, istats, &error, jobs)) {
-      std::cerr << path << ": " << error << '\n';
-      return kExitUsage;
-    }
-    if (istats.malformed > 0) {
-      std::cerr << path << ": skipped " << istats.malformed
-                << " malformed line(s), first at line "
-                << istats.first_malformed_line << ": "
-                << istats.first_error << '\n';
-    }
-    dropped_input = istats.malformed;
-    ingest_malformed = istats.malformed;
-    ingest_bytes = istats.bytes;
-    ingest_shards = istats.shards;
-    ingest_mode = istats.mapped ? "mmap" : "read";
+  } else if (ingest.malformed > 0) {
+    std::cerr << path << ": skipped " << ingest.malformed
+              << " malformed line(s), first at line "
+              << ingest.first_malformed_line << ": " << ingest.first_error
+              << '\n';
   }
+  // Input records/lines that were skipped rather than analyzed; any
+  // --check gate refuses a clean verdict while this is non-zero.
+  const std::uint64_t dropped_input = ingest.malformed;
   if (want_stats) {
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       ingest_start)
             .count();
-    const double mib = static_cast<double>(ingest_bytes) / (1024.0 * 1024.0);
+    const double mib = static_cast<double>(ingest.bytes) / (1024.0 * 1024.0);
     char rate[32];
     format_double(rate, sizeof rate, "%.1f",
                   seconds > 0.0 ? mib / seconds : 0.0);
+    const char* mode =
+        input.flight ? "flight" : (ingest.mapped ? "mmap" : "read");
     std::fprintf(stderr,
                  "ingest: %llu bytes, %llu events, %llu malformed, "
                  "%s MB/s (%s, shards=%u)\n",
-                 static_cast<unsigned long long>(ingest_bytes),
+                 static_cast<unsigned long long>(ingest.bytes),
                  static_cast<unsigned long long>(store.size()),
-                 static_cast<unsigned long long>(ingest_malformed), rate,
-                 ingest_mode, ingest_shards);
+                 static_cast<unsigned long long>(ingest.malformed), rate,
+                 mode, ingest.shards);
   }
 
   const std::string format = flags.get_string("format", "text");
