@@ -14,8 +14,6 @@
 //   --nodes=N           node count for ring/star/complete/random
 //   --links=L           link count for random topologies
 //   --topo-seed=S       random-topology construction seed (default 1)
-//   --approx-paths      sampled average-path/diameter estimation on
-//                       topologies >= ~2500 alive nodes (exact otherwise)
 //   --queue=Q           per-node queue capacity, seconds of work (default 100)
 //   --task-size=S       mean task size, seconds (default 5)
 //   --help-threshold=V  Algorithm P solicitation threshold

@@ -559,14 +559,15 @@ experiment::ScenarioConfig obs_config(const Flags& flags) {
   c.seed = 42;
   // Message-cost model: exact per-hop unicast costs (the paper's §5
   // ablation, which it asserts changes no comparison) are the default —
-  // at this scale they are the physically faithful model, and the run
-  // does the routing work a real deployment pays, which is the baseline
-  // an "always-on overhead" claim should be measured against. The
+  // at this scale they are the physically faithful model. Pricing is
+  // cheap: the shared, symmetric shortest-path oracle answers all the
+  // pledges of one HELP round from the requester's single BFS row, so
+  // the untraced leg does little routing work (about 50 BFS runs here)
+  // and the overhead ratios are measured against a short baseline. The
   // alternatives keep the trace density identical (the protocol makes
-  // the same decisions; record counts match to the event) but skip the
-  // routing work, compressing the baseline: "average" uses the computed
-  // topology-average path length, "fixed4" pins the 5x5-mesh constant 4
-  // — both useful to expose the recorder's raw per-event cost.
+  // the same decisions; record counts match to the event) and skip even
+  // that: "average" uses the computed topology-average path length,
+  // "fixed4" pins the 5x5-mesh constant 4.
   const std::string cost = flags.get_string("obs-cost", "exact");
   if (cost == "fixed4") {
     c.fixed_unicast_cost = 4.0;

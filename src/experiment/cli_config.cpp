@@ -32,7 +32,6 @@ void apply_topology_flags(const Flags& flags, ScenarioConfig& config) {
   if (config.topology.kind != TopologyKind::kMesh) {
     config.fixed_unicast_cost.reset();  // 4 is only right for the 5x5 mesh
   }
-  config.approx_path_stats = flags.get_bool("approx-paths", false);
 }
 
 std::vector<AttackWave> parse_attack_waves(const std::string& spec) {

@@ -5,7 +5,6 @@
 //   workload:  --lambda --duration --seed --queue --task-size --warmup
 //   topology:  --topology=mesh|torus|ring|star|complete|random
 //              --width --height --nodes --links --topo-seed
-//              --approx-paths (sampled path stats on large topologies)
 //   protocol:  --protocol=<name|paper label>  --help-threshold
 //              --pledge-threshold --alpha --beta --upper-limit
 //              --help-timeout --push-interval --ttl --max-communities
@@ -41,7 +40,7 @@ TopologyKind parse_topology_kind(const std::string& name);
 
 /// Applies the topology flags (--topology/--width/--height/--nodes/
 /// --links/--topo-seed) to `config`, unpinning the mesh-specific fixed
-/// unicast cost for non-mesh shapes, plus --approx-paths.
+/// unicast cost for non-mesh shapes.
 void apply_topology_flags(const Flags& flags, ScenarioConfig& config);
 
 }  // namespace realtor::experiment

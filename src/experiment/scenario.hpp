@@ -116,13 +116,6 @@ struct ScenarioConfig {
   /// How floods are charged (paper: number of links).
   net::FloodMode flood_mode = net::FloodMode::kLinks;
 
-  /// Estimate average-path-length/diameter from a sampled subset of BFS
-  /// sources on topologies of >= ~2500 alive nodes instead of the exact
-  /// all-sources scan. Off by default; paper-config runs (and every
-  /// golden/figure test) stay exact. Only observable when the cost model
-  /// actually consults path statistics (no pinned unicast cost).
-  bool approx_path_stats = false;
-
   /// One-way protocol-message delay (seconds); 0 keeps the paper's
   /// instantaneous-delivery accounting model.
   SimTime network_delay = 0.0;

@@ -22,14 +22,13 @@ SimTransport::SimTransport(sim::Engine& engine, const net::Topology& topology,
       cost_model_(cost_model),
       ledger_(ledger),
       delay_(delay),
-      deliver_(std::move(deliver)),
-      paths_(topology) {
+      deliver_(std::move(deliver)) {
   REALTOR_ASSERT(delay_ >= 0.0);
   REALTOR_ASSERT(static_cast<bool>(deliver_));
 }
 
 std::uint32_t SimTransport::hop_distance(NodeId from, NodeId to) const {
-  return clamp_hops(paths_.hops(from, to));
+  return clamp_hops(cost_model_.paths().hops(from, to));
 }
 
 net::MessageKind SimTransport::kind_of(const proto::Message& msg) {
@@ -116,7 +115,8 @@ void SimTransport::fan_out(NodeId origin, federation::GroupId group,
   // One staleness resolution per flood, not per destination: the row
   // pointer stays valid for the whole loop because nothing below touches
   // the path cache.
-  const std::uint32_t* row = hop_accurate ? paths_.row(origin) : nullptr;
+  const std::uint32_t* row =
+      hop_accurate ? cost_model_.paths().row(origin) : nullptr;
   const auto leg = [&](NodeId dest) {
     return row != nullptr ? clamp_hops(row[dest]) : 1u;
   };
@@ -172,8 +172,9 @@ void SimTransport::unicast(NodeId from, NodeId to, const proto::Message& msg) {
   // attempt) but the message dies at the partition edge instead of
   // teleporting across it. connected() short-circuits the per-pair check
   // whenever the alive subgraph has no partitions at all.
-  if (topology_.alive(from) && topology_.alive(to) && !paths_.connected() &&
-      !paths_.reachable(from, to)) {
+  const net::ShortestPaths& paths = cost_model_.paths();
+  if (topology_.alive(from) && topology_.alive(to) && !paths.connected() &&
+      !paths.reachable(from, to)) {
     ++dropped_unreachable_;
     if (tracer_ != nullptr && tracer_->active()) {
       obs::TraceEvent event(engine_.now(), from,

@@ -1,6 +1,9 @@
 // Transport implementation for the discrete-event harness: delivers
 // protocol messages across the overlay and charges the ledger using the
 // paper's accounting (flood = alive links; unicast = average path length).
+// Hop distances and partition checks come from the cost model's
+// ShortestPaths oracle (CostModel::paths()); the transport keeps no path
+// cache of its own.
 //
 // Fan-out data path: a flood wraps the message once in a ref-counted
 // immutable payload (one allocation per flood, counted by the
@@ -30,7 +33,6 @@
 #include "federation/group_map.hpp"
 #include "net/cost_model.hpp"
 #include "net/message_ledger.hpp"
-#include "net/shortest_paths.hpp"
 #include "net/topology.hpp"
 #include "obs/trace.hpp"
 #include "proto/transport.hpp"
@@ -157,7 +159,6 @@ class SimTransport final : public proto::Transport {
   std::uint64_t payload_allocations_ = 0;
   std::uint64_t dropped_unreachable_ = 0;
   std::uint64_t deliveries_ = 0;
-  mutable net::ShortestPaths paths_;
 };
 
 }  // namespace realtor::experiment

@@ -61,9 +61,6 @@ Simulation::Simulation(const ScenarioConfig& config)
       injector_(engine_, topology_),
       attack_rng_(config.seed, "attack-victims"),
       multires_rng_(config.seed, "multi-resource") {
-  if (config_.approx_path_stats) {
-    cost_model_.set_approx_path_stats(true);
-  }
   transport_.set_tracer(&tracer_);
   transport_.set_advert_board(&advert_board_);
   const NodeId n = topology_.num_nodes();

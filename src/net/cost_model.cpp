@@ -17,13 +17,6 @@ CostModel::CostModel(const Topology& topology, CostMode mode,
   }
 }
 
-void CostModel::refresh_if_stale() const {
-  // Queries resync lazily; this only drops stale caches eagerly.
-  if (paths_.version() != topology_.version()) {
-    paths_.refresh();
-  }
-}
-
 double CostModel::flood_cost() const {
   switch (flood_mode_) {
     case FloodMode::kLinks:

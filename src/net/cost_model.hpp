@@ -9,6 +9,10 @@
 //     endpoints (used by ablations to check the averaging assumption,
 //     which the paper asserts "does not affect the performance
 //     comparison").
+//
+// The model owns the simulation's one ShortestPaths oracle: the transport
+// reads hop distances and partition checks through paths(), so pricing a
+// unicast and scheduling it share the same cached BFS rows.
 #pragma once
 
 #include <optional>
@@ -41,22 +45,16 @@ class CostModel {
   CostMode mode() const { return mode_; }
   FloodMode flood_mode() const { return flood_mode_; }
 
-  /// Recomputes cached paths if node liveness changed.
-  void refresh_if_stale() const;
-
-  /// Opt-in sampled average-path/diameter estimation for large topologies
-  /// (forwarded to ShortestPaths::set_sampled_stats). Paper-config runs
-  /// leave this off and always get exact statistics.
-  void set_approx_path_stats(bool enabled) {
-    paths_.set_sampled_stats(enabled);
-  }
+  /// The hop-distance oracle over this model's topology. Resyncs with
+  /// liveness changes on every query.
+  const ShortestPaths& paths() const { return paths_; }
 
  private:
   const Topology& topology_;
   CostMode mode_;
   std::optional<double> fixed_unicast_cost_;
   FloodMode flood_mode_;
-  mutable ShortestPaths paths_;
+  ShortestPaths paths_;
 };
 
 }  // namespace realtor::net

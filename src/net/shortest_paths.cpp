@@ -1,6 +1,5 @@
 #include "net/shortest_paths.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -11,15 +10,26 @@ namespace realtor::net {
 ShortestPaths::ShortestPaths(const Topology& topology)
     : topology_(topology), version_(topology.version()) {}
 
-void ShortestPaths::refresh() { sync(); }
-
-void ShortestPaths::sync() const {
-  if (version_ == topology_.version()) return;
+void ShortestPaths::drop_rows() const {
   for (auto& [src, dist] : rows_) {
     spare_rows_.push_back(std::move(dist));
   }
   rows_.clear();
-  stats_valid_ = false;
+}
+
+std::vector<std::uint32_t> ShortestPaths::take_spare() const {
+  std::vector<std::uint32_t> dist;
+  if (!spare_rows_.empty()) {
+    dist = std::move(spare_rows_.back());
+    spare_rows_.pop_back();
+  }
+  return dist;
+}
+
+void ShortestPaths::sync() const {
+  if (version_ == topology_.version()) return;
+  drop_rows();
+  average_valid_ = false;
   connected_valid_ = false;
   version_ = topology_.version();
 }
@@ -52,19 +62,10 @@ const std::vector<std::uint32_t>& ShortestPaths::row_for(NodeId src) const {
   sync();
   const auto it = rows_.find(src);
   if (it != rows_.end()) return it->second;
-  if (rows_.size() >= kMaxCachedRows) {
-    // Flood origins rotate; a full reset is simpler than LRU bookkeeping
-    // and just as effective at this cache size.
-    for (auto& [s, dist] : rows_) {
-      spare_rows_.push_back(std::move(dist));
-    }
-    rows_.clear();
-  }
-  std::vector<std::uint32_t> dist;
-  if (!spare_rows_.empty()) {
-    dist = std::move(spare_rows_.back());
-    spare_rows_.pop_back();
-  }
+  // Sources rotate; a full reset is simpler than LRU bookkeeping and just
+  // as effective at this cache size.
+  if (rows_.size() >= kMaxCachedRows) drop_rows();
+  std::vector<std::uint32_t> dist = take_spare();
   bfs(src, dist);
   return rows_.emplace(src, std::move(dist)).first->second;
 }
@@ -72,7 +73,16 @@ const std::vector<std::uint32_t>& ShortestPaths::row_for(NodeId src) const {
 std::uint32_t ShortestPaths::hops(NodeId from, NodeId to) const {
   REALTOR_ASSERT(from < topology_.num_nodes());
   REALTOR_ASSERT(to < topology_.num_nodes());
-  return row_for(from)[to];
+  sync();
+  // The alive subgraph is undirected, so dist(from, to) == dist(to, from)
+  // and a row rooted at either endpoint answers. Prefer a cached `from`
+  // row; otherwise root at `to`, which is the endpoint many queries share
+  // (every PLEDGE answering a HELP goes to the same requester). A dead
+  // endpoint reads kUnreachable from either row: bfs() returns an
+  // all-unreachable row for a dead source and never enters a dead node.
+  const auto it = rows_.find(from);
+  if (it != rows_.end()) return it->second[to];
+  return row_for(to)[from];
 }
 
 const std::uint32_t* ShortestPaths::row(NodeId src) const {
@@ -100,35 +110,17 @@ bool ShortestPaths::connected() const {
   return connected_;
 }
 
-void ShortestPaths::ensure_stats() const {
+double ShortestPaths::average_path_length() const {
   sync();
-  if (stats_valid_) return;
-
+  if (average_valid_) return average_path_length_;
+  // Streams one BFS per alive source through a single scratch row rather
+  // than filling the row cache with N rows.
   const NodeId n = topology_.num_nodes();
-  const std::size_t alive = topology_.alive_count();
-  const bool sample =
-      sampling_enabled_ && alive >= static_cast<std::size_t>(sampling_min_nodes_);
-  // Deterministic evenly-strided source subset when sampling; every alive
-  // source otherwise.
-  const std::size_t stride =
-      sample ? std::max<std::size_t>(
-                   1, alive / static_cast<std::size_t>(sampling_sources_))
-             : 1;
-
   double sum = 0.0;
   std::uint64_t pairs = 0;
-  std::uint32_t diameter = 0;
-  std::vector<std::uint32_t> dist;
-  if (!spare_rows_.empty()) {
-    dist = std::move(spare_rows_.back());
-    spare_rows_.pop_back();
-  }
-  std::size_t alive_index = 0;
+  std::vector<std::uint32_t> dist = take_spare();
   for (NodeId src = 0; src < n; ++src) {
     if (!topology_.alive(src)) continue;
-    const bool take = alive_index % stride == 0;
-    ++alive_index;
-    if (!take) continue;
     bfs(src, dist);
     for (NodeId v = 0; v < n; ++v) {
       if (v == src || !topology_.alive(v)) continue;
@@ -136,34 +128,12 @@ void ShortestPaths::ensure_stats() const {
       if (d == kUnreachable) continue;
       sum += d;
       ++pairs;
-      if (d > diameter) diameter = d;
     }
   }
   spare_rows_.push_back(std::move(dist));
-
   average_path_length_ = pairs > 0 ? sum / static_cast<double>(pairs) : 0.0;
-  diameter_ = diameter;
-  stats_sampled_ = sample;
-  stats_valid_ = true;
-}
-
-double ShortestPaths::average_path_length() const {
-  ensure_stats();
+  average_valid_ = true;
   return average_path_length_;
-}
-
-std::uint32_t ShortestPaths::diameter() const {
-  ensure_stats();
-  return diameter_;
-}
-
-void ShortestPaths::set_sampled_stats(bool enabled, NodeId min_nodes,
-                                      NodeId sources) {
-  REALTOR_ASSERT(sources > 0);
-  sampling_enabled_ = enabled;
-  sampling_min_nodes_ = min_nodes;
-  sampling_sources_ = sources;
-  stats_valid_ = false;
 }
 
 }  // namespace realtor::net

@@ -1,15 +1,17 @@
 // Hop distances over the alive subgraph, computed lazily.
 //
-// The old implementation eagerly rebuilt an O(N^2)-memory all-pairs matrix
-// plus an O(N^2) stats scan after every liveness change — ~400 MB and
-// seconds of work per attack event at N=10k. This version does no work
-// until asked: hops()/row() run one BFS per queried source and cache the
-// row keyed by Topology::version(); connected() is a single BFS;
-// average_path_length()/diameter() stream per-source BFS rows only when
-// the cost model actually asks (exact by default, with an opt-in sampled
-// estimator for large topologies that paper-config runs never enable).
-// Any topology change simply invalidates the caches — refresh() is now a
-// cheap resynchronization, not a rebuild.
+// Nothing is computed until asked: hops()/row() run one BFS per queried
+// source and cache the row keyed by Topology::version(); connected() is a
+// single BFS; average_path_length() streams every alive source's BFS row
+// only when the cost model actually asks for it. Any topology change
+// simply invalidates the caches on the next query.
+//
+// One instance serves a whole simulation (CostModel owns it and the
+// transport reads through CostModel::paths()), so pricing a unicast and
+// scheduling its delivery share the same cached rows. hops() answers from
+// whichever endpoint's row is cached: the PLEDGEs answering one HELP come
+// from many senders but all go to one requester, so they cost one BFS
+// between them, not one each.
 #pragma once
 
 #include <cstdint>
@@ -28,13 +30,9 @@ class ShortestPaths {
   /// on first query and track liveness changes automatically.
   explicit ShortestPaths(const Topology& topology);
 
-  /// Drops stale caches and marks the table current. Queries resync on
-  /// their own, so this is only needed to satisfy version() equality
-  /// checks without issuing a query.
-  void refresh();
-
   /// Hop count between alive nodes; kUnreachable if disconnected or if
-  /// either endpoint is dead.
+  /// either endpoint is dead. Symmetric: answered from `from`'s row when
+  /// it is cached, otherwise from (a possibly new) row rooted at `to`.
   std::uint32_t hops(NodeId from, NodeId to) const;
 
   /// Distance row for `src` (indexable by destination, num_nodes wide).
@@ -49,29 +47,11 @@ class ShortestPaths {
 
   /// Mean hop count over all ordered pairs of distinct, mutually reachable
   /// alive nodes. On the paper's 5x5 mesh this is ~3.33; the paper rounds
-  /// the per-PLEDGE cost to 4. Exact unless the sampled estimator is
-  /// enabled and the topology is large.
+  /// the per-PLEDGE cost to 4.
   double average_path_length() const;
-
-  /// Longest finite shortest path (a lower bound when sampling).
-  std::uint32_t diameter() const;
 
   /// True when every pair of alive nodes is mutually reachable. One BFS.
   bool connected() const;
-
-  /// Topology version this table was computed against.
-  std::uint64_t version() const { return version_; }
-
-  /// Opt-in sampled path statistics: when enabled and the alive population
-  /// reaches `min_nodes`, average_path_length()/diameter() BFS only
-  /// `sources` evenly-strided alive sources instead of all of them.
-  /// Deterministic (no RNG). Off by default — paper-config runs and the
-  /// golden tests always take the exact path.
-  void set_sampled_stats(bool enabled, NodeId min_nodes = 2500,
-                         NodeId sources = 64);
-
-  /// True if the most recent stats computation used sampling.
-  bool stats_sampled() const { return stats_sampled_; }
 
  private:
   /// Invalidates caches if the topology moved on; updates version_.
@@ -80,7 +60,10 @@ class ShortestPaths {
   void bfs(NodeId src, std::vector<std::uint32_t>& dist) const;
   /// Returns the cached row for `src`, computing it if absent.
   const std::vector<std::uint32_t>& row_for(NodeId src) const;
-  void ensure_stats() const;
+  /// Moves every cached row into the spare pool.
+  void drop_rows() const;
+  /// A row vector to BFS into: recycled from the spare pool if possible.
+  std::vector<std::uint32_t> take_spare() const;
 
   /// Row-cache capacity: enough for every concurrent flood origin in a
   /// burst without approaching all-pairs memory at N=10k.
@@ -92,17 +75,11 @@ class ShortestPaths {
   mutable std::unordered_map<NodeId, std::vector<std::uint32_t>> rows_;
   mutable std::vector<std::vector<std::uint32_t>> spare_rows_;
 
-  mutable bool stats_valid_ = false;
+  mutable bool average_valid_ = false;
   mutable double average_path_length_ = 0.0;
-  mutable std::uint32_t diameter_ = 0;
-  mutable bool stats_sampled_ = false;
 
   mutable bool connected_valid_ = false;
   mutable bool connected_ = false;
-
-  bool sampling_enabled_ = false;
-  NodeId sampling_min_nodes_ = 2500;
-  NodeId sampling_sources_ = 64;
 
   // Scratch for BFS frontiers; reused across queries.
   mutable std::vector<NodeId> frontier_;

@@ -5,11 +5,14 @@
 # these values, so every row here is a regression fence — including the
 # --follow combinations, where the contract is easy to erode by accident.
 #
-# Usage: test_trace_exit_codes.sh <realtor_trace> <realtor_sim>
+# Usage: test_trace_exit_codes.sh <realtor_trace> <realtor_sim> [sanitized]
+# Pass "sanitized" for ASan/UBSan builds: their shadow memory needs more
+# address space than the memory-limit row allows, so it runs unlimited.
 set -u
 
 TRACE_BIN=$1
 SIM_BIN=$2
+SANITIZED=${3:-}
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 fails=0
@@ -70,8 +73,23 @@ expect "check with dropped input" 2 -- \
 expect "follow --once --check with dropped input" 2 -- \
   "$TRACE_BIN" "$tmp/damaged.jsonl" --follow --once --plain --check
 
+# exit 0 under a 1 GiB address-space limit: the summary counts distinct
+# nodes, so a huge node id must not size any allocation by its value.
+echo '{"t":1,"node":4000000000,"kind":"task_arrival"}' >"$tmp/huge_id.jsonl"
+summary=$(
+  [ "$SANITIZED" = sanitized ] || ulimit -v 1048576
+  "$TRACE_BIN" "$tmp/huge_id.jsonl" 2>&1
+)
+got=$?
+if [ "$got" -ne 0 ] || ! grep -q '^1 records, 1 nodes' <<<"$summary"; then
+  echo "FAIL [summary of a huge node id]: exit $got, output: $summary" >&2
+  fails=$((fails + 1))
+else
+  echo "ok   [summary of a huge node id]: exit 0, 1 records, 1 nodes"
+fi
+
 if [ "$fails" -ne 0 ]; then
   echo "$fails contract row(s) violated" >&2
   exit 1
 fi
-echo "exit-code contract holds (12 rows)"
+echo "exit-code contract holds (13 rows)"

@@ -1,9 +1,24 @@
 #include "net/shortest_paths.hpp"
 
+#include <algorithm>
 #include <gtest/gtest.h>
+
+#include "common/rng.hpp"
 
 namespace realtor::net {
 namespace {
+
+/// Longest finite shortest path over all ordered pairs, from hops().
+std::uint32_t longest_pair(const Topology& t, const ShortestPaths& sp) {
+  std::uint32_t longest = 0;
+  for (NodeId a = 0; a < t.num_nodes(); ++a) {
+    for (NodeId b = 0; b < t.num_nodes(); ++b) {
+      const std::uint32_t d = sp.hops(a, b);
+      if (d != kUnreachable) longest = std::max(longest, d);
+    }
+  }
+  return longest;
+}
 
 TEST(ShortestPaths, MeshHopDistances) {
   const Topology mesh = make_mesh(5, 5);
@@ -12,7 +27,7 @@ TEST(ShortestPaths, MeshHopDistances) {
   EXPECT_EQ(sp.hops(0, 1), 1u);
   EXPECT_EQ(sp.hops(0, 24), 8u);  // opposite corners: 4 + 4
   EXPECT_EQ(sp.hops(0, 12), 4u);  // corner to center
-  EXPECT_EQ(sp.diameter(), 8u);
+  EXPECT_EQ(longest_pair(mesh, sp), 8u);
   EXPECT_TRUE(sp.connected());
 }
 
@@ -69,14 +84,24 @@ TEST(ShortestPaths, PartitionDetected) {
 }
 
 TEST(ShortestPaths, RefreshTracksTopologyVersion) {
+  // Cached rows are keyed by Topology::version(): the next query after a
+  // liveness change resyncs on its own, with no explicit refresh step.
   Topology mesh = make_mesh(3, 3);
-  ShortestPaths sp(mesh);
-  EXPECT_EQ(sp.version(), mesh.version());
+  const ShortestPaths sp(mesh);
+  EXPECT_EQ(sp.hops(0, 4), 2u);
+  EXPECT_EQ(sp.hops(3, 5), 2u);
+  EXPECT_TRUE(sp.connected());
   mesh.set_alive(4, false);
-  EXPECT_NE(sp.version(), mesh.version());
-  sp.refresh();
-  EXPECT_EQ(sp.version(), mesh.version());
   EXPECT_EQ(sp.hops(0, 4), kUnreachable);
+  EXPECT_EQ(sp.hops(4, 0), kUnreachable);
+  EXPECT_EQ(sp.hops(3, 5), 4u);
+  mesh.set_alive(1, false);
+  mesh.set_alive(7, false);  // cuts {0,3,6} from {2,5,8}
+  EXPECT_FALSE(sp.connected());
+  EXPECT_EQ(sp.hops(3, 5), kUnreachable);
+  mesh.set_alive(4, true);
+  EXPECT_TRUE(sp.connected());
+  EXPECT_EQ(sp.hops(3, 5), 2u);
 }
 
 TEST(ShortestPaths, RowMatchesPerPairHops) {
@@ -106,42 +131,56 @@ TEST(ShortestPaths, RowCacheEvictionKeepsAnswersCorrect) {
   EXPECT_EQ(sp.row(0)[99], 18u);
 }
 
-TEST(ShortestPaths, SampledStatsDeterministicAndClose) {
-  const Topology torus = make_torus(60, 60);  // 3600 nodes
-  ShortestPaths exact(torus);
-  exact.set_sampled_stats(false);
-  const double exact_apl = exact.average_path_length();
-  EXPECT_FALSE(exact.stats_sampled());
-
-  ShortestPaths sampled(torus);
-  sampled.set_sampled_stats(true);
-  const double est1 = sampled.average_path_length();
-  EXPECT_TRUE(sampled.stats_sampled());
-  // Deterministic stride sampling: repeated queries and fresh instances
-  // agree bit-for-bit.
-  EXPECT_DOUBLE_EQ(sampled.average_path_length(), est1);
-  ShortestPaths sampled2(torus);
-  sampled2.set_sampled_stats(true);
-  EXPECT_DOUBLE_EQ(sampled2.average_path_length(), est1);
-  // A torus is vertex-transitive, so any source sample is exact; allow a
-  // loose band anyway to keep the test about sanity, not symmetry.
-  EXPECT_NEAR(est1, exact_apl, 0.05 * exact_apl);
-  EXPECT_EQ(sampled.diameter(), exact.diameter());
-}
-
-TEST(ShortestPaths, SampledStatsStayExactBelowThreshold) {
-  const Topology mesh = make_mesh(5, 5);
-  ShortestPaths sp(mesh);
-  sp.set_sampled_stats(true);  // default min_nodes 2500 >> 25
-  EXPECT_NEAR(sp.average_path_length(), 10.0 / 3.0, 1e-9);  // exact value
-  EXPECT_FALSE(sp.stats_sampled());
+TEST(ShortestPaths, SymmetricLookupMatchesFreshRowsUnderKills) {
+  // hops(a, b) may answer from b's row; on every pair it must equal a's
+  // own row from a fresh oracle, whatever the long-lived oracle's cache
+  // holds and whichever endpoints are dead. Rows for arbitrary other
+  // sources are primed first so lookups hit a mix of cached and new rows.
+  struct Case {
+    Topology topology;
+    std::vector<NodeId> cut;  // killed before the random kill sets
+  };
+  std::vector<Case> cases;
+  cases.push_back({make_random_connected(30, 45, 3), {}});
+  cases.push_back({make_random_connected(90, 120, 11), {}});  // > 64 rows
+  cases.push_back({make_ring(16), {0, 5, 11}});  // three partitions
+  RngStream rng(17, "shortest-paths-symmetry");
+  for (Case& c : cases) {
+    Topology& t = c.topology;
+    const NodeId n = t.num_nodes();
+    for (const NodeId v : c.cut) t.set_alive(v, false);
+    const ShortestPaths live(t);
+    for (int round = 0; round < 4; ++round) {
+      std::vector<NodeId> killed;
+      for (NodeId k = 0; k < n / 5; ++k) {
+        const auto v = static_cast<NodeId>(rng.uniform_index(n));
+        if (!t.alive(v)) continue;
+        t.set_alive(v, false);
+        killed.push_back(v);
+      }
+      for (int p = 0; p < 8; ++p) {
+        live.row(static_cast<NodeId>(rng.uniform_index(n)));
+      }
+      for (NodeId a = 0; a < n; ++a) {
+        const ShortestPaths fresh(t);
+        const std::uint32_t* expected = fresh.row(a);
+        for (NodeId b = 0; b < n; ++b) {
+          ASSERT_EQ(live.hops(a, b), expected[b])
+              << "n=" << n << " round " << round << " pair " << a << "->"
+              << b << (t.alive(a) ? "" : " (a dead)")
+              << (t.alive(b) ? "" : " (b dead)");
+        }
+      }
+      for (const NodeId v : killed) t.set_alive(v, true);
+    }
+  }
 }
 
 TEST(ShortestPaths, CompleteGraphAllOnes) {
   const Topology c = make_complete(8);
   const ShortestPaths sp(c);
   EXPECT_DOUBLE_EQ(sp.average_path_length(), 1.0);
-  EXPECT_EQ(sp.diameter(), 1u);
+  EXPECT_EQ(longest_pair(c, sp), 1u);
 }
 
 TEST(ShortestPaths, StarIsTwoHopsBetweenLeaves) {
@@ -149,7 +188,7 @@ TEST(ShortestPaths, StarIsTwoHopsBetweenLeaves) {
   const ShortestPaths sp(s);
   EXPECT_EQ(sp.hops(1, 2), 2u);
   EXPECT_EQ(sp.hops(0, 5), 1u);
-  EXPECT_EQ(sp.diameter(), 2u);
+  EXPECT_EQ(longest_pair(s, sp), 2u);
 }
 
 }  // namespace

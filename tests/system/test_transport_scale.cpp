@@ -1,13 +1,17 @@
 // Zero-copy fan-out data path: proof of equivalence between batched and
 // per-destination delivery scheduling, the one-allocation-per-flood
-// payload guarantee, and record-and-drop accounting for unicasts across a
-// partition of the alive subgraph.
+// payload guarantee, record-and-drop accounting for unicasts across a
+// partition of the alive subgraph, and the shortest-path work one HELP
+// round costs under exact-hop pricing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <string>
 #include <variant>
 #include <vector>
 
+#include "common/profile.hpp"
 #include "experiment/sim_transport.hpp"
 #include "experiment/simulation.hpp"
 #include "proto/availability_table.hpp"
@@ -342,6 +346,59 @@ TEST(TransportPartition, UnreachableUnicastIsRecordedAndDropped) {
   EXPECT_EQ(deliveries.size(), 1u);
   EXPECT_EQ(transport.dropped_unreachable(), 1u);
   EXPECT_EQ(ledger.sends(net::MessageKind::kPledge), 3u);
+}
+
+// Exact-hop pricing charges each PLEDGE its hop count. The pledges that
+// answer a HELP come from every other node but all go to the requester,
+// so a HELP round must cost O(requesters) BFS rows, not one per pledge.
+// A positive delay makes delivery hop-accurate, so the flood and every
+// pledge's schedule read the same oracle as the pricing does.
+TEST(ExactCostRound, BfsRowsScaleWithRequestersNotPledges) {
+  sim::Engine engine;
+  const net::Topology mesh = net::make_mesh(10, 10);
+  const net::CostModel cost(mesh, net::CostMode::kExactHops);
+  net::MessageLedger ledger;
+  std::vector<std::unique_ptr<proto::DiscoveryProtocol>> protocols;
+  SimTransport transport(
+      engine, mesh, cost, ledger, 0.01,
+      [&protocols](NodeId to, NodeId from, const proto::Message& msg) {
+        protocols[to]->on_message(from, msg);
+      });
+  const std::vector<NodeId> requesters = {0, 45, 99};
+  const proto::ProtocolConfig config;
+  for (NodeId id = 0; id < mesh.num_nodes(); ++id) {
+    const bool busy =
+        std::find(requesters.begin(), requesters.end(), id) != requesters.end();
+    proto::ProtocolEnv env;
+    env.engine = &engine;
+    env.topology = &mesh;
+    env.transport = &transport;
+    env.local_occupancy = [busy] { return busy ? 0.99 : 0.1; };
+    env.seed = 7;
+    protocols.push_back(
+        proto::make_protocol(proto::ProtocolKind::kRealtor, id, config, env));
+  }
+
+  obs::Profiler& profiler = obs::Profiler::instance();
+  profiler.reset();
+  profiler.set_enabled(true);
+  for (const NodeId r : requesters) protocols[r]->solicit();
+  engine.run_until(1.0);
+  profiler.set_enabled(false);
+  std::uint64_t bfs_runs = 0;
+  for (const obs::ProfileEntry& entry : profiler.snapshot()) {
+    if (entry.path.ends_with("net/shortest_paths_bfs")) {
+      bfs_runs += entry.calls;
+    }
+  }
+  profiler.reset();
+
+  // Every idle node answered every HELP.
+  const std::size_t pledgers = mesh.num_nodes() - requesters.size();
+  EXPECT_EQ(ledger.sends(net::MessageKind::kPledge),
+            requesters.size() * pledgers);
+  // One row per requester; the connected() check may root one more.
+  EXPECT_LE(bfs_runs, requesters.size() + 1);
 }
 
 }  // namespace

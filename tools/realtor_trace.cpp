@@ -88,6 +88,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "common/flags.hpp"
@@ -114,7 +115,7 @@ struct KindSummary {
   std::uint64_t count = 0;
   double first_time = 0.0;
   double last_time = 0.0;
-  std::vector<char> nodes_seen;  // indexed by node id
+  std::unordered_set<NodeId> nodes_seen;  // distinct, not id-indexed
 };
 
 std::string format_value(const obs::StoredField& field) {
@@ -228,7 +229,7 @@ void print_events_csv(const obs::EventStore& store, bool filter_node,
 void print_summary(const obs::EventStore& store) {
   std::map<std::string_view, KindSummary> kinds;
   double span_end = 0.0;
-  std::vector<char> all_nodes;
+  std::unordered_set<NodeId> all_nodes;
   for (const obs::EventRec& rec : store.records()) {
     KindSummary& summary = kinds[store.name(rec.kind)];
     if (summary.count == 0) summary.first_time = rec.time;
@@ -236,18 +237,11 @@ void print_summary(const obs::EventStore& store) {
     summary.last_time = rec.time;
     span_end = std::max(span_end, rec.time);
     if (rec.node != kInvalidNode) {
-      if (rec.node >= summary.nodes_seen.size()) {
-        summary.nodes_seen.resize(rec.node + 1, 0);
-      }
-      summary.nodes_seen[rec.node] = 1;
-      if (rec.node >= all_nodes.size()) {
-        all_nodes.resize(rec.node + 1, 0);
-      }
-      all_nodes[rec.node] = 1;
+      summary.nodes_seen.insert(rec.node);
+      all_nodes.insert(rec.node);
     }
   }
-  const auto live = static_cast<unsigned long long>(
-      std::count(all_nodes.begin(), all_nodes.end(), 1));
+  const auto live = static_cast<unsigned long long>(all_nodes.size());
   char end_buf[32];
   format_double(end_buf, sizeof end_buf, "%.3f", span_end);
   std::printf("%llu records, %llu nodes, t in [0, %s]\n\n",
@@ -260,8 +254,7 @@ void print_summary(const obs::EventStore& store) {
     format_double(last, sizeof last, "%.3f", summary.last_time);
     std::printf("%-20s %10llu %8llu %12s %12s\n", kind.data(),
                 static_cast<unsigned long long>(summary.count),
-                static_cast<unsigned long long>(std::count(
-                    summary.nodes_seen.begin(), summary.nodes_seen.end(), 1)),
+                static_cast<unsigned long long>(summary.nodes_seen.size()),
                 first, last);
   }
 }
