@@ -10,8 +10,8 @@
 // snapshots.
 //
 // Cost contract: when disabled (the default), a ProfileScope costs one
-// relaxed atomic load and a predictable branch — no clock reads, no
-// locks, no allocation. This keeps instrumented hot paths inside the
+// inline relaxed atomic load and a predictable branch — no call, no clock
+// reads, no locks, no allocation. This keeps instrumented hot paths inside the
 // tracing-overhead budget gated by bench/perf_regression. When enabled,
 // entering a scope takes a mutex to intern the (parent, name) tree node;
 // accumulation on exit is lock-free (relaxed atomic adds), and the
@@ -41,8 +41,12 @@ class Profiler {
  public:
   static Profiler& instance();
 
-  void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
+  /// The enabled flag is a static member, so a ProfileScope tests it
+  /// inline without reaching the instance through an out-of-line call.
+  static void set_enabled(bool on) {
+    enabled_.store(on, std::memory_order_relaxed);
+  }
+  static bool enabled() { return enabled_.load(std::memory_order_relaxed); }
 
   /// Drops every recorded scope (the enabled flag is untouched). Must not
   /// race live ProfileScopes: call it between runs, when every scope on
@@ -74,7 +78,7 @@ class Profiler {
   void flatten(std::uint32_t index, int depth, const std::string& prefix,
                std::vector<ProfileEntry>& out) const;
 
-  std::atomic<bool> enabled_{false};
+  static inline std::atomic<bool> enabled_{false};
   mutable std::mutex mutex_;       // guards nodes_ structure (not totals)
   std::deque<Node> nodes_;         // deque: stable addresses for atomics
 };
@@ -83,7 +87,7 @@ class Profiler {
 class ProfileScope {
  public:
   explicit ProfileScope(const char* name) {
-    if (Profiler::instance().enabled()) begin(name);
+    if (Profiler::enabled()) begin(name);
   }
   ~ProfileScope() {
     if (armed_) end();

@@ -143,6 +143,8 @@ Simulation::Simulation(const ScenarioConfig& config)
   }
 }
 
+Simulation::~Simulation() { engine_.clear(); }
+
 void Simulation::handle_arrival(const sim::Arrival& arrival) {
   double bandwidth_share = 0.0;
   std::uint8_t min_security = 0;

@@ -55,6 +55,9 @@ struct TimelineSample {
 class Simulation {
  public:
   explicit Simulation(const ScenarioConfig& config);
+  /// Drops every pending event in one sweep before the members go, so the
+  /// protocols' and hosts' own cancels find nothing left to cancel.
+  ~Simulation();
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 

@@ -1,6 +1,6 @@
 #include "sim/engine.hpp"
 
-#include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -13,15 +13,16 @@ Engine::Engine() {
   // in-flight protocol traffic) sit well under this; reserving avoids the
   // first few reallocation steps on every simulation construction.
   heap_.reserve(64);
+  lane_.reserve(64);
   slots_.reserve(64);
 }
 
-void Engine::heap_push(const HeapEntry& entry) {
+void Engine::heap_push(HeapEntry entry) {
   std::size_t i = heap_.size();
   heap_.push_back(entry);  // placeholder; the hole sifts up below
   while (i > 0) {
     const std::size_t parent = (i - 1) >> 2;
-    if (!fires_before(entry, heap_[parent])) break;
+    if (!(entry.key < heap_[parent].key)) break;
     heap_[i] = heap_[parent];
     i = parent;
   }
@@ -31,16 +32,25 @@ void Engine::heap_push(const HeapEntry& entry) {
 void Engine::sift_down(std::size_t i) {
   const HeapEntry value = heap_[i];
   const std::size_t n = heap_.size();
+  const HeapEntry* h = heap_.data();
   for (;;) {
     const std::size_t first = 4 * i + 1;
-    if (first >= n) break;
-    std::size_t best = first;
-    const std::size_t end = std::min(first + 4, n);
-    for (std::size_t c = first + 1; c < end; ++c) {
-      if (fires_before(heap_[c], heap_[best])) best = c;
+    std::size_t best;
+    if (first + 4 <= n) {
+      // Full family: a two-round tournament on index arithmetic, no
+      // data-dependent branches.
+      const std::size_t a = first + (h[first + 1].key < h[first].key);
+      const std::size_t b = first + 2 + (h[first + 3].key < h[first + 2].key);
+      best = h[b].key < h[a].key ? b : a;
+    } else {
+      if (first >= n) break;
+      best = first;
+      for (std::size_t c = first + 1; c < n; ++c) {
+        if (h[c].key < h[best].key) best = c;
+      }
     }
-    if (!fires_before(heap_[best], value)) break;
-    heap_[i] = heap_[best];
+    if (!(h[best].key < value.key)) break;
+    heap_[i] = h[best];
     i = best;
   }
   heap_[i] = value;
@@ -53,14 +63,14 @@ void Engine::heap_pop_front() {
 }
 
 void Engine::heap_compact() {
+  obs::ProfileScope scope("sim/heap_compact");
   std::size_t kept = 0;
   for (const HeapEntry& entry : heap_) {
-    if (slots_[entry.slot].seq == entry.seq) {
+    if (slots_[entry.slot()].seq == entry.seq()) {
       heap_[kept++] = entry;
     }
   }
   heap_.resize(kept);
-  dead_ = 0;
   if (kept > 1) {
     // Floyd construction over the 4-ary layout: sift every parent down,
     // deepest first.
@@ -68,44 +78,66 @@ void Engine::heap_compact() {
       sift_down(i);
     }
   }
+  kept = 0;
+  for (std::size_t i = lane_head_; i < lane_.size(); ++i) {
+    if (slots_[lane_[i].slot].seq == lane_[i].seq) {
+      lane_[kept++] = lane_[i];
+    }
+  }
+  lane_.resize(kept);
+  lane_head_ = 0;
+  dead_ = 0;
 }
 
-EventId Engine::schedule_at(SimTime t, Callback cb) {
-  REALTOR_ASSERT_MSG(t >= now_, "cannot schedule in the past");
-  REALTOR_ASSERT(static_cast<bool>(cb));
-  std::uint32_t slot;
-  if (free_head_ != kNoSlot) {
-    slot = free_head_;
-    free_head_ = slots_[slot].next_free;
-  } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
+void Engine::lane_push(LaneEntry entry) {
+  // A zero-delay chain that never lets the lane run dry would otherwise
+  // grow it without bound; drop the consumed prefix once it dominates.
+  if (lane_head_ >= 4096 && lane_head_ * 2 >= lane_.size()) {
+    lane_.erase(lane_.begin(),
+                lane_.begin() + static_cast<std::ptrdiff_t>(lane_head_));
+    lane_head_ = 0;
   }
-  Slot& s = slots_[slot];
-  s.fn = std::move(cb);
+  lane_.push_back(entry);
+}
+
+void Engine::lane_pop_front() {
+  if (++lane_head_ == lane_.size()) {
+    lane_.clear();
+    lane_head_ = 0;
+  }
+}
+
+std::uint32_t Engine::grow_slots() {
+  const auto slot = static_cast<std::uint32_t>(slots_.size());
+  slots_.emplace_back();
+  return slot;
+}
+
+EventId Engine::enqueue(SimTime t, std::uint32_t slot) {
   const std::uint32_t seq = next_seq_++;
   REALTOR_ASSERT_MSG(next_seq_ != 0, "event sequence space exhausted");
+  Slot& s = slots_[slot];
   s.seq = seq;
-  heap_push(HeapEntry{t, seq, slot});
+  if (t == now_) {
+    lane_push(LaneEntry{seq, slot});
+  } else {
+    heap_push(HeapEntry::make(t, seq, slot));
+  }
   ++live_;
   return pack(slot, s.generation);
 }
 
 void Engine::reserve(std::size_t events) {
   heap_.reserve(events);
+  lane_.reserve(events);
   slots_.reserve(events);
-}
-
-EventId Engine::schedule_in(SimTime delay, Callback cb) {
-  REALTOR_ASSERT_MSG(delay >= 0.0, "negative delay");
-  return schedule_at(now_ + delay, std::move(cb));
 }
 
 void Engine::release(std::uint32_t slot) {
   Slot& s = slots_[slot];
   s.fn.reset();
   ++s.generation;
-  s.seq = 0;  // sequences start at 1, so any heap entry is now stale
+  s.seq = 0;  // sequences start at 1, so any queue entry is now stale
   s.next_free = free_head_;
   free_head_ = slot;
   --live_;
@@ -116,11 +148,21 @@ void Engine::cancel(EventId id) {
   if (slot >= slots_.size()) return;
   if (slots_[slot].generation != generation_of(id)) return;  // fired/dead
   release(slot);
-  ++dead_;  // the event's heap entry is now garbage
+  ++dead_;  // the event's heap or lane entry is now garbage
   // Compact once corpses outnumber live entries, so cancel-heavy phases
   // (Algorithm H re-arming its HELP timers) don't grow the heap unboundedly
   // or tax every subsequent push/pop with dead weight.
-  if (dead_ > 64 && dead_ * 2 > heap_.size()) heap_compact();
+  if (dead_ > 64 && dead_ * 2 > heap_.size() + lane_size()) heap_compact();
+}
+
+void Engine::clear() {
+  for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
+    if (slots_[slot].seq != 0) release(static_cast<std::uint32_t>(slot));
+  }
+  heap_.clear();
+  lane_.clear();
+  lane_head_ = 0;
+  dead_ = 0;
 }
 
 void Engine::set_observer(std::uint64_t sample_every, Observer observer) {
@@ -141,88 +183,45 @@ bool Engine::pending(EventId id) const {
          slots_[slot].generation == generation_of(id);
 }
 
-bool Engine::pop_next(SimTime& time, Callback& cb) {
-  if (live_ == 0) {  // only corpses (if anything) remain — drop them all
-    heap_.clear();
-    dead_ = 0;
-    return false;
-  }
-  for (;;) {
-    const HeapEntry top = heap_.front();
-    heap_pop_front();
-    Slot& s = slots_[top.slot];
-    if (s.seq != top.seq) {  // cancelled
-      --dead_;
-      continue;
-    }
-    cb = std::move(s.fn);
-    release(top.slot);
-    time = top.time;
-    return true;
-  }
-}
-
-void Engine::run() {
-  SimTime time = 0.0;
-  Callback cb;
-  while (pop_next(time, cb)) {
-    now_ = time;
-    note_processed();
-    obs::ProfileScope scope("engine/dispatch");
-    cb();
-  }
-}
-
-void Engine::run_until(SimTime t) {
-  REALTOR_ASSERT(t >= now_);
-  while (live_ > 0) {
-    // Peek for a live event not later than t.
-    const HeapEntry top = heap_.front();
-    if (slots_[top.slot].seq != top.seq) {  // cancelled
-      heap_pop_front();
-      --dead_;
-      continue;
-    }
-    if (top.time > t) break;
-    heap_pop_front();
-    Slot& s = slots_[top.slot];
-    Callback cb = std::move(s.fn);
-    release(top.slot);
-    now_ = top.time;
-    note_processed();
-    obs::ProfileScope scope("engine/dispatch");
-    cb();
-  }
-  now_ = t;
-}
-
-void Engine::run_until_before(SimTime t) {
-  REALTOR_ASSERT(t >= now_);
-  while (live_ > 0) {
-    const HeapEntry top = heap_.front();
-    if (slots_[top.slot].seq != top.seq) {  // cancelled
-      heap_pop_front();
-      --dead_;
-      continue;
-    }
-    if (top.time >= t) break;
-    heap_pop_front();
-    Slot& s = slots_[top.slot];
-    Callback cb = std::move(s.fn);
-    release(top.slot);
-    now_ = top.time;
-    note_processed();
-    obs::ProfileScope scope("engine/dispatch");
-    cb();
-  }
-  now_ = t;
-}
-
-std::size_t Engine::step(std::size_t max_events) {
+template <bool kInclusive>
+std::size_t Engine::drain(SimTime limit, std::size_t max_events) {
   std::size_t fired = 0;
-  SimTime time = 0.0;
-  Callback cb;
-  while (fired < max_events && pop_next(time, cb)) {
+  while (fired < max_events) {
+    if (live_ == 0) {  // only corpses (if anything) remain — drop them all
+      heap_.clear();
+      lane_.clear();
+      lane_head_ = 0;
+      dead_ = 0;
+      break;
+    }
+    SimTime time;
+    std::uint32_t slot;
+    if (lane_head_ < lane_.size() &&
+        (heap_.empty() || heap_.front().time() > now_)) {
+      const LaneEntry front = lane_[lane_head_];
+      if (slots_[front.slot].seq != front.seq) {  // cancelled
+        lane_pop_front();
+        --dead_;
+        continue;
+      }
+      time = now_;
+      if (kInclusive ? time > limit : time >= limit) break;
+      lane_pop_front();
+      slot = front.slot;
+    } else {
+      const HeapEntry top = heap_.front();
+      if (slots_[top.slot()].seq != top.seq()) {  // cancelled
+        heap_pop_front();
+        --dead_;
+        continue;
+      }
+      time = top.time();
+      if (kInclusive ? time > limit : time >= limit) break;
+      heap_pop_front();
+      slot = top.slot();
+    }
+    Callback cb = std::move(slots_[slot].fn);
+    release(slot);
     now_ = time;
     note_processed();
     ++fired;
@@ -230,6 +229,27 @@ std::size_t Engine::step(std::size_t max_events) {
     cb();
   }
   return fired;
+}
+
+void Engine::run() {
+  drain<true>(std::numeric_limits<SimTime>::infinity(),
+              std::numeric_limits<std::size_t>::max());
+}
+
+void Engine::run_until(SimTime t) {
+  REALTOR_ASSERT(t >= now_);
+  drain<true>(t, std::numeric_limits<std::size_t>::max());
+  now_ = t;
+}
+
+void Engine::run_until_before(SimTime t) {
+  REALTOR_ASSERT(t >= now_);
+  drain<false>(t, std::numeric_limits<std::size_t>::max());
+  now_ = t;
+}
+
+std::size_t Engine::step(std::size_t max_events) {
+  return drain<true>(std::numeric_limits<SimTime>::infinity(), max_events);
 }
 
 }  // namespace realtor::sim

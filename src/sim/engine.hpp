@@ -7,21 +7,34 @@
 //   * cancellation is O(1) and never perturbs the order of other events.
 //
 // Storage design (the hot path of every benchmark): events live in a
-// free-listed slot arena — a plain vector of {generation, callback} slots —
-// and a 4-ary heap orders 16-byte {time, seq, slot} entries. cancel() is a
-// generation bump on the slot (no hash lookup, no deallocation); the stale
-// heap entry is dropped lazily when popped (its seq no longer matching the
-// slot's), or in bulk by heap_compact() when corpses outnumber live
-// events. Callbacks are EventFn values, move-constructed into recycled
-// slots, so scheduling allocates nothing once the arena and heap have
-// grown to the steady-state working set.
+// free-listed slot arena — a plain vector of {generation, callback} slots.
+// Two queues order them by (time, seq):
+//   * a 4-ary min-heap of 16-byte entries whose (time, seq) key compares
+//     as one 128-bit integer, for events later than the clock;
+//   * a FIFO "zero-delay lane" for events scheduled at exactly now(), the
+//     bulk of the paper's traffic (network_delay = 0). A lane entry costs
+//     a push_back and an index bump instead of two heap walks.
+// The next event is the heap top if its time is <= now(), else the lane
+// front, else the heap top. That is exact (time, seq) order: a heap entry
+// at now() was scheduled before the clock reached now(), so its seq is
+// below every lane entry's.
+// cancel() is a generation bump on the slot (no hash lookup, no
+// deallocation); the stale queue entry is dropped lazily when it reaches
+// the front (its seq no longer matching the slot's), or in bulk by
+// heap_compact() when corpses outnumber live events. Callbacks are EventFn
+// values constructed in place in recycled slots, so scheduling allocates
+// nothing once the arena and queues have grown to the steady-state
+// working set.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/types.hpp"
 #include "sim/event_fn.hpp"
 
@@ -38,19 +51,41 @@ class Engine {
   /// Current simulated time in seconds.
   SimTime now() const { return now_; }
 
-  /// Schedules `cb` at absolute time `t` (>= now). Returns a handle usable
-  /// with cancel() until the event fires.
-  EventId schedule_at(SimTime t, Callback cb);
+  /// Schedules `fn` at absolute time `t` (>= now). The callable is built
+  /// directly in its event slot. Returns a handle usable with cancel()
+  /// until the event fires.
+  template <EventCallable F>
+  EventId schedule_at(SimTime t, F&& fn) {
+    REALTOR_ASSERT_MSG(t >= now_, "cannot schedule in the past");
+    std::uint32_t slot = free_head_;
+    if (slot != kNoSlot) {
+      free_head_ = slots_[slot].next_free;
+    } else {
+      slot = grow_slots();
+    }
+    slots_[slot].fn.emplace(std::forward<F>(fn));
+    return enqueue(t, slot);
+  }
 
-  /// Schedules `cb` after `delay` seconds (>= 0).
-  EventId schedule_in(SimTime delay, Callback cb);
+  /// Schedules `fn` after `delay` seconds (>= 0).
+  template <EventCallable F>
+  EventId schedule_in(SimTime delay, F&& fn) {
+    REALTOR_ASSERT_MSG(delay >= 0.0, "negative delay");
+    return schedule_at(now_ + delay, std::forward<F>(fn));
+  }
 
   /// Cancels a pending event; no-op if it already fired or was cancelled.
   void cancel(EventId id);
 
-  /// Sizes the slot arena and heap for `events` simultaneously pending
-  /// events up front. Growing them step by step relocates every pending
-  /// callback at each doubling, which dominates building a large world.
+  /// Drops every pending event at once, destroying its callback, for
+  /// teardown. Handles issued before stay valid no-ops: cancel() ignores
+  /// them and pending() reports false. The clock does not move.
+  void clear();
+
+  /// Sizes the slot arena and both queues for `events` simultaneously
+  /// pending events up front. Growing them step by step relocates every
+  /// pending callback at each doubling, which dominates building a large
+  /// world.
   void reserve(std::size_t events);
 
   /// True if `id` is scheduled and not yet fired/cancelled.
@@ -103,36 +138,61 @@ class Engine {
   };
 
   /// Heap entries carry the firing time, a monotone sequence number for
-  /// the FIFO tie-break among simultaneous events, and the owning slot.
-  /// Liveness is validated by comparing `seq` against the slot's current
-  /// sequence — sequences are unique engine-wide (schedule_at asserts
-  /// before the 32-bit space could wrap), so a stale entry can never
-  /// match. Keeping the entry at 16 bytes instead of 24 matters: draining
-  /// a large queue is bound by sift-down cache traffic, which scales with
-  /// entry size.
+  /// the FIFO tie-break among simultaneous events, and the owning slot,
+  /// packed into one 128-bit key: the time's bits on top (a non-negative
+  /// double orders like its bit pattern), then seq, then slot. Comparing
+  /// two keys is one integer compare, so picking the least of four
+  /// children needs no branches. Slot never decides an order: sequences
+  /// are unique engine-wide (enqueue() asserts before the 32-bit space
+  /// could wrap), which also lets liveness be checked by comparing seq
+  /// against the slot's current one — a stale entry can never match.
+  /// Keeping the entry at 16 bytes matters: draining a large queue is
+  /// bound by sift-down cache traffic, which scales with entry size.
+  using Key = unsigned __int128;
   struct HeapEntry {
-    SimTime time;
+    Key key;
+
+    static HeapEntry make(SimTime time, std::uint32_t seq,
+                          std::uint32_t slot) {
+      // `+ 0.0` turns -0.0 into +0.0, whose bits sort as zero.
+      const auto bits = std::bit_cast<std::uint64_t>(time + 0.0);
+      return {(Key{bits} << 64) | (Key{seq} << 32) | Key{slot}};
+    }
+    SimTime time() const {
+      return std::bit_cast<SimTime>(static_cast<std::uint64_t>(key >> 64));
+    }
+    std::uint32_t seq() const { return static_cast<std::uint32_t>(key >> 32); }
+    std::uint32_t slot() const { return static_cast<std::uint32_t>(key); }
+  };
+
+  /// A zero-delay lane entry; its time is the clock's.
+  struct LaneEntry {
     std::uint32_t seq;
     std::uint32_t slot;
   };
-  /// Min-heap order on (time, seq).
-  static bool fires_before(const HeapEntry& a, const HeapEntry& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
-  }
 
   /// The heap is 4-ary: half the depth of a binary heap, and the four
-  /// children of a node sit in one cache line's worth of 24-byte entries,
-  /// which is what the pop-side sift-down is bound by.
-  void heap_push(const HeapEntry& entry);
+  /// children of a node are 64 contiguous bytes of 16-byte entries, which
+  /// is what the pop-side sift-down is bound by.
+  void heap_push(HeapEntry entry);
   /// Restores heap order below `i` after heap_[i] was replaced.
   void sift_down(std::size_t i);
   /// Removes heap_.front(); the heap must be nonempty.
   void heap_pop_front();
-  /// Rebuilds the heap without its dead entries. Called when cancelled
-  /// garbage outnumbers live events, so lazy deletion costs amortized O(1)
-  /// per cancel instead of a sift-down per corpse at pop time.
+  /// Drops the dead entries of the heap and the lane. Called when
+  /// cancelled garbage outnumbers live events, so lazy deletion costs
+  /// amortized O(1) per cancel instead of a sift-down per corpse at pop
+  /// time.
   void heap_compact();
+
+  void lane_push(LaneEntry entry);
+  void lane_pop_front();
+  std::size_t lane_size() const { return lane_.size() - lane_head_; }
+
+  /// Appends a fresh slot to the arena and returns its index.
+  std::uint32_t grow_slots();
+  /// Gives the filled `slot` its sequence number and queues it at `t`.
+  EventId enqueue(SimTime t, std::uint32_t slot);
 
   static EventId pack(std::uint32_t slot, std::uint32_t generation) {
     return (static_cast<EventId>(slot) << 32) | generation;
@@ -148,8 +208,11 @@ class Engine {
   /// handles/heap entries. The callback must already be moved out or dead.
   void release(std::uint32_t slot);
 
-  /// Pops the next live event; returns false when the queue is exhausted.
-  bool pop_next(SimTime& time, Callback& cb);
+  /// Fires live events in (time, seq) order while the next one's time is
+  /// below `limit` (or equal to it, when `kInclusive`), at most
+  /// `max_events` of them. Returns how many fired.
+  template <bool kInclusive>
+  std::size_t drain(SimTime limit, std::size_t max_events);
 
   /// Bumps the processed counter and fires the sampled observer.
   void note_processed();
@@ -161,9 +224,12 @@ class Engine {
   std::uint64_t observe_every_ = 0;
   Observer observer_;
   std::vector<HeapEntry> heap_;
+  /// Zero-delay lane: lane_[lane_head_..] are pending, in seq order.
+  std::vector<LaneEntry> lane_;
+  std::size_t lane_head_ = 0;
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;
-  /// Heap entries whose event was cancelled (heap_.size() - dead_ live).
+  /// Heap and lane entries whose event was cancelled.
   std::size_t dead_ = 0;
 };
 

@@ -5,8 +5,9 @@
 // exceeds the library's small-object buffer (16 bytes on libstdc++ —
 // smaller than a typical `[this, task, origin]` capture here). EventFn
 // widens the inline buffer so every callback the simulator actually
-// schedules is move-constructed straight into the event slot, and falls
-// back to the heap only for outsized captures (e.g. trace-replay records).
+// schedules is constructed straight into the event slot (emplace()), and
+// falls back to the heap only for outsized captures (e.g. trace-replay
+// records).
 #pragma once
 
 #include <cstddef>
@@ -17,6 +18,13 @@
 
 namespace realtor::sim {
 
+class EventFn;
+
+/// What an EventFn can hold: a `void()` callable other than EventFn.
+template <typename F>
+concept EventCallable = !std::is_same_v<std::decay_t<F>, EventFn> &&
+                        std::is_invocable_r_v<void, std::decay_t<F>&>;
+
 class EventFn {
  public:
   /// Inline capture capacity, sized for the hottest real capture in the
@@ -26,22 +34,6 @@ class EventFn {
   static constexpr std::size_t kInlineBytes = 72;
 
   EventFn() = default;
-
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, EventFn> &&
-                std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  EventFn(F&& f) {  // NOLINT(google-explicit-constructor): drop-in for
-                    // std::function at every schedule_*() call site.
-    using Fn = std::decay_t<F>;
-    if constexpr (fits_inline<Fn>()) {
-      ::new (static_cast<void*>(storage_.inline_buf)) Fn(std::forward<F>(f));
-      vtable_ = &kInlineVTable<Fn>;
-    } else {
-      storage_.heap = new Fn(std::forward<F>(f));
-      vtable_ = &kHeapVTable<Fn>;
-    }
-  }
 
   EventFn(EventFn&& other) noexcept { move_from(other); }
 
@@ -66,6 +58,21 @@ class EventFn {
     if (vtable_ != nullptr) {
       vtable_->destroy(storage_);
       vtable_ = nullptr;
+    }
+  }
+
+  /// Replaces the held callable with `f`, constructed directly in this
+  /// object's storage: no temporary EventFn and no relocation.
+  template <EventCallable F>
+  void emplace(F&& f) {
+    using Fn = std::decay_t<F>;
+    reset();
+    if constexpr (fits_inline<Fn>()) {
+      ::new (static_cast<void*>(storage_.inline_buf)) Fn(std::forward<F>(f));
+      vtable_ = &kInlineVTable<Fn>;
+    } else {
+      storage_.heap = new Fn(std::forward<F>(f));
+      vtable_ = &kHeapVTable<Fn>;
     }
   }
 

@@ -7,10 +7,12 @@
 #include <sys/resource.h>
 
 #include <chrono>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/profile.hpp"
 #include "experiment/simulation.hpp"
 #include "experiment/sweep.hpp"
 
@@ -88,6 +90,48 @@ TEST(ScaleSmoke, PushAdvertRoundOnHundredByHundredStaysLean) {
   EXPECT_EQ(sim.transport().deliveries(), kNodes * (kNodes - 1));
   EXPECT_LT(max_rss_kib(), 128L * 1024L) << "peak RSS " << max_rss_kib()
                                          << " KiB";
+}
+
+// ~Simulation drops every pending event in one sweep before the hosts
+// and protocols go. Cancelling them one by one instead (a Push-1 advert
+// timer per node) trips the engine's dead-entry compaction three times on
+// this 4,900-node cell, rebuilding a heap that is about to be freed.
+TEST(ScaleSmoke, PushTeardownMakesNoHeapCompactions) {
+  ScenarioConfig config;
+  config.topology.width = 70;
+  config.topology.height = 70;
+  config.fixed_unicast_cost = 4.0;
+  config.protocol_kind = proto::ProtocolKind::kPurePush;
+  config.protocol.push_interval = 1.0;
+  config.duration = 1.02;  // one advert round, at t=1
+  config.lambda = 2450.0;
+  config.seed = 11;
+  // The scale-matrix cell's churn: two waves of N/50 kills, each restored
+  // after a fifth of the run.
+  for (const double at : {0.3, 0.6}) {
+    AttackWave wave;
+    wave.time = at * config.duration;
+    wave.count = 98;
+    wave.outage = 0.2 * config.duration;
+    config.attacks.push_back(wave);
+  }
+  // Tear down a world that is set up but not run: an advert timer per
+  // node, the first arrival and the attack events pending.
+  auto sim = std::make_unique<Simulation>(config);
+  sim->begin_run();
+  EXPECT_GE(sim->engine().pending_count(), 4900u);
+
+  obs::Profiler& profiler = obs::Profiler::instance();
+  profiler.reset();
+  profiler.set_enabled(true);
+  sim.reset();
+  profiler.set_enabled(false);
+  std::uint64_t compactions = 0;
+  for (const obs::ProfileEntry& entry : profiler.snapshot()) {
+    if (entry.path.ends_with("sim/heap_compact")) compactions += entry.calls;
+  }
+  profiler.reset();
+  EXPECT_EQ(compactions, 0u);
 }
 
 std::string sweep_fingerprint(const std::vector<SweepCell>& cells) {
