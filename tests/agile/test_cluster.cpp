@@ -2,6 +2,8 @@
 // so each cluster run takes well under a second of wall time.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "agile/cluster.hpp"
 
 namespace realtor::agile {
@@ -270,6 +272,27 @@ TEST(ClusterRun, TwentyHostPaperScaleRuns) {
   const ClusterMetrics m = cluster.run();
   EXPECT_EQ(m.arrivals_processed, m.generated);
   EXPECT_GT(m.admission_probability(), 0.8);
+}
+
+// The wall-clock live monitor on its sampler thread: ticks land while the
+// reactors run, and stop() takes one final sample tagged as such.
+TEST(ClusterRun, LiveMonitorSamplesOnItsThread) {
+  ClusterConfig config = small_config(2.0);
+  config.live = LiveMonitorConfig{};  // empty out: history only
+  Cluster cluster(config);
+  ASSERT_NE(cluster.live(), nullptr);
+  ASSERT_TRUE(cluster.live()->ok()) << cluster.live()->error();
+  cluster.run();
+
+  const LiveMonitor& live = *cluster.live();
+  EXPECT_GT(live.snapshots(), 0u);
+  const std::string text = live.exposition();
+  const std::size_t last = text.rfind("# realtor_live snapshot ");
+  ASSERT_NE(last, std::string::npos);
+  const std::string header = text.substr(last, text.find('\n', last) - last);
+  EXPECT_NE(header.find(" plane=agile final"), std::string::npos) << header;
+  EXPECT_NE(text.find("realtor_live_nodes_total 4\n", last),
+            std::string::npos);
 }
 
 }  // namespace

@@ -90,6 +90,151 @@ TEST(LivePlane, GoldenAlertFiresAtTheExpectedTick) {
             std::string::npos);
 }
 
+// The complete buffered exposition of one seeded attack run, byte for
+// byte: every gauge, window, per-kind event total and rule line of every
+// snapshot. A shorter run at a coarser cadence than alert_scenario() keeps
+// the golden readable; admission_low still fires at the t=80 tick.
+TEST(LivePlane, GoldenExpositionOfASeededAttackRun) {
+  ScenarioConfig config = alert_scenario();
+  config.duration = 80.0;
+  config.live_cadence = 20.0;
+  LiveConfig live;
+  live.node_count = 25;
+  LivePlane plane(std::move(live));
+  ASSERT_TRUE(plane.ok()) << plane.error();
+  Simulation sim(config);
+  sim.set_trace_sink(&plane);
+  sim.run();
+
+  const std::string expected = R"(
+# realtor_live snapshot 1 t=20
+realtor_live_time 20
+realtor_live_nodes_alive 25
+realtor_live_nodes_total 25
+realtor_live_open_episodes 0
+realtor_live_decisions_total 235
+realtor_live_admission_probability 1
+realtor_live_help_rate 0
+realtor_live_message_rate 0
+realtor_live_rejection_rate 0
+realtor_live_episode_latency_p50 0
+realtor_live_episode_latency_p99 0
+realtor_live_events_total{kind="task_arrival"} 235
+realtor_live_events_total{kind="task_admit_local"} 235
+realtor_live_events_total{kind="task_completed"} 96
+realtor_live_events_total{kind="live_tick"} 1
+realtor_live_alerts_fired_total 0
+realtor_live_alert{rule="admission_low"} 0
+realtor_live_alert_value{rule="admission_low"} 1
+realtor_live_alert{rule="help_storm"} 0
+realtor_live_alert_value{rule="help_storm"} 0
+
+# realtor_live snapshot 2 t=40
+realtor_live_time 40
+realtor_live_nodes_alive 25
+realtor_live_nodes_total 25
+realtor_live_open_episodes 2
+realtor_live_decisions_total 447
+realtor_live_admission_probability 1
+realtor_live_help_rate 0.06666666666666667
+realtor_live_message_rate 1.7333333333333334
+realtor_live_rejection_rate 0.03333333333333333
+realtor_live_episode_latency_p50 0
+realtor_live_episode_latency_p99 0
+realtor_live_events_total{kind="help_sent"} 2
+realtor_live_events_total{kind="help_received"} 48
+realtor_live_events_total{kind="pledge_sent"} 50
+realtor_live_events_total{kind="pledge_received"} 50
+realtor_live_events_total{kind="help_interval"} 2
+realtor_live_events_total{kind="threshold_crossing"} 3
+realtor_live_events_total{kind="community_join"} 48
+realtor_live_events_total{kind="task_arrival"} 447
+realtor_live_events_total{kind="task_admit_local"} 446
+realtor_live_events_total{kind="task_rejected"} 1
+realtor_live_events_total{kind="task_completed"} 203
+realtor_live_events_total{kind="live_tick"} 2
+realtor_live_alerts_fired_total 0
+realtor_live_alert{rule="admission_low"} 0
+realtor_live_alert_value{rule="admission_low"} 1
+realtor_live_alert{rule="help_storm"} 0
+realtor_live_alert_value{rule="help_storm"} 0.06666666666666667
+
+# realtor_live snapshot 3 t=60
+realtor_live_time 60
+realtor_live_nodes_alive 25
+realtor_live_nodes_total 25
+realtor_live_open_episodes 36
+realtor_live_decisions_total 683
+realtor_live_admission_probability 0.98
+realtor_live_help_rate 1.7333333333333334
+realtor_live_message_rate 29.3
+realtor_live_rejection_rate 0.06666666666666667
+realtor_live_episode_latency_p50 2.0253233544325298
+realtor_live_episode_latency_p99 4.749862971969806
+realtor_live_events_total{kind="help_sent"} 52
+realtor_live_events_total{kind="help_received"} 960
+realtor_live_events_total{kind="pledge_sent"} 815
+realtor_live_events_total{kind="pledge_received"} 815
+realtor_live_events_total{kind="help_interval"} 52
+realtor_live_events_total{kind="threshold_crossing"} 13
+realtor_live_events_total{kind="community_join"} 282
+realtor_live_events_total{kind="solicit"} 12
+realtor_live_events_total{kind="task_arrival"} 683
+realtor_live_events_total{kind="task_admit_local"} 665
+realtor_live_events_total{kind="task_admit_migrated"} 16
+realtor_live_events_total{kind="task_rejected"} 2
+realtor_live_events_total{kind="task_completed"} 307
+realtor_live_events_total{kind="migration_attempt"} 16
+realtor_live_events_total{kind="migration_success"} 16
+realtor_live_events_total{kind="live_tick"} 3
+realtor_live_alerts_fired_total 0
+realtor_live_alert{rule="admission_low"} 0
+realtor_live_alert_value{rule="admission_low"} 0.98
+realtor_live_alert{rule="help_storm"} 0
+realtor_live_alert_value{rule="help_storm"} 1.7333333333333334
+
+# realtor_live snapshot 4 t=80
+realtor_live_time 80
+realtor_live_nodes_alive 13
+realtor_live_nodes_total 25
+realtor_live_open_episodes 53
+realtor_live_decisions_total 816
+realtor_live_admission_probability 0.76
+realtor_live_help_rate 2.2666666666666666
+realtor_live_message_rate 29.333333333333332
+realtor_live_rejection_rate 0.8666666666666667
+realtor_live_episode_latency_p50 1.8868191152028757
+realtor_live_episode_latency_p99 8.181629510830023
+realtor_live_events_total{kind="help_sent"} 92
+realtor_live_events_total{kind="help_received"} 1764
+realtor_live_events_total{kind="pledge_sent"} 1341
+realtor_live_events_total{kind="pledge_received"} 1247
+realtor_live_events_total{kind="help_interval"} 266
+realtor_live_events_total{kind="threshold_crossing"} 43
+realtor_live_events_total{kind="community_join"} 510
+realtor_live_events_total{kind="solicit"} 12
+realtor_live_events_total{kind="task_arrival"} 816
+realtor_live_events_total{kind="task_admit_local"} 762
+realtor_live_events_total{kind="task_admit_migrated"} 27
+realtor_live_events_total{kind="task_rejected"} 27
+realtor_live_events_total{kind="task_completed"} 352
+realtor_live_events_total{kind="migration_attempt"} 268
+realtor_live_events_total{kind="migration_abort"} 75
+realtor_live_events_total{kind="migration_success"} 193
+realtor_live_events_total{kind="node_killed"} 12
+realtor_live_events_total{kind="evacuation"} 12
+realtor_live_events_total{kind="unreachable_drop"} 85
+realtor_live_events_total{kind="live_tick"} 4
+realtor_live_alerts_fired_total 1
+realtor_live_alert{rule="admission_low"} 1
+realtor_live_alert_value{rule="admission_low"} 0.76
+realtor_live_alert{rule="help_storm"} 0
+realtor_live_alert_value{rule="help_storm"} 2.2666666666666666
+
+)";
+  EXPECT_EQ(plane.exposition(), expected.substr(1));
+}
+
 TEST(LivePlane, AttachingThePlaneDoesNotPerturbTheRun) {
   const ScenarioConfig config = alert_scenario();
   Simulation bare(config);
