@@ -1,102 +1,61 @@
 #include "agile/live_monitor.hpp"
 
-#include <cinttypes>
-#include <cstdio>
-#include <fstream>
-
-#include "common/format.hpp"
-
 namespace realtor::agile {
 
-using obs::live::AlertRule;
 using obs::live::RuleSignal;
-using obs::live::WindowSnapshot;
 
 namespace {
-
-void append_u64(std::string& out, std::uint64_t value) {
-  char buf[24];
-  const int n = std::snprintf(buf, sizeof(buf), "%" PRIu64, value);
-  out.append(buf, static_cast<std::size_t>(n));
-}
-
-void append_label_escaped(std::string& out, const std::string& value) {
-  for (const char c : value) {
-    if (c == '\\' || c == '"') out += '\\';
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out += c;
-  }
-}
-
-double signal_quantile(RuleSignal signal) {
-  switch (signal) {
-    case RuleSignal::kEpisodeP50:
-      return 0.50;
-    case RuleSignal::kEpisodeP90:
-      return 0.90;
-    default:
-      return 0.99;
-  }
-}
 
 std::uint64_t delta(std::uint64_t now, std::uint64_t before) {
   return now > before ? now - before : 0;
 }
 
+obs::live::LiveConfig write_through(obs::live::LiveConfig config) {
+  config.write_through = true;
+  return config;
+}
+
 }  // namespace
 
 LiveMonitor::LiveMonitor(LiveMonitorConfig config)
-    : config_(std::move(config)),
-      decisions_(config_.decision_window),
-      helps_(config_.window, config_.buckets),
-      messages_(config_.window, config_.buckets),
-      rejections_(config_.window, config_.buckets),
-      episode_latency_(config_.window, config_.buckets,
-                       config_.latency_reservoir) {
-  std::vector<std::string> specs =
-      config_.rules.empty() ? obs::live::default_alert_rules() : config_.rules;
-  for (const std::string& spec : specs) {
-    AlertRule rule;
-    std::string parse_error;
-    if (!obs::live::parse_alert_rule(spec, rule, &parse_error)) {
-      ok_ = false;
-      error_ = parse_error;
-      return;
-    }
-    RuleState state;
-    state.rule = rule;
-    if (obs::live::signal_count_windowed(rule.signal)) {
-      const std::size_t n = rule.window > 0.0
-                                ? static_cast<std::size_t>(rule.window)
-                                : config_.decision_window;
-      state.tail.emplace(n);
-    } else if (obs::live::signal_rated(rule.signal) ||
-               rule.signal == RuleSignal::kEpisodeP50 ||
-               rule.signal == RuleSignal::kEpisodeP90 ||
-               rule.signal == RuleSignal::kEpisodeP99) {
-      const double span = rule.window > 0.0 ? rule.window : config_.window;
-      const bool quantile = !obs::live::signal_rated(rule.signal);
-      state.sliding.emplace(span, config_.buckets,
-                            quantile ? config_.latency_reservoir : 0);
-    }
-    rules_.push_back(std::move(state));
-  }
-  to_stdout_ = config_.out == "-";
-}
+    : cadence_(config.cadence),
+      core_(write_through(std::move(config)), " plane=agile",
+            /*keep_history=*/true) {}
 
 LiveMonitor::~LiveMonitor() { stop(); }
 
-void LiveMonitor::set_alert_listener(AlertListener listener) {
+bool LiveMonitor::ok() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  alert_listener_ = std::move(listener);
+  return core_.ok();
+}
+
+std::string LiveMonitor::error() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return core_.error();
+}
+
+void LiveMonitor::set_alert_listener(obs::live::AlertListener listener) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  listener_ = std::move(listener);
+}
+
+void LiveMonitor::deliver(std::unique_lock<std::mutex>& lock) {
+  if (fired_.empty()) return;
+  const std::vector<Transition> fired = std::move(fired_);
+  fired_.clear();
+  const obs::live::AlertListener listener = listener_;
+  lock.unlock();
+  if (listener) {
+    for (const Transition& t : fired) {
+      listener(t.rule, t.firing, t.time, t.value);
+    }
+  }
+  lock.lock();
 }
 
 void LiveMonitor::start(const Clock& clock, Sampler sampler) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!ok_ || !stopped_ || config_.cadence <= 0.0) return;
+  if (!core_.ok() || !stopped_ || cadence_ <= 0.0) return;
   sampler_ = std::move(sampler);
   stop_requested_ = false;
   stopped_ = false;
@@ -107,7 +66,7 @@ void LiveMonitor::run_loop(const Clock* clock) {
   std::uint64_t tick = 1;
   std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
-    const SimTime target = static_cast<double>(tick) * config_.cadence;
+    const SimTime target = static_cast<double>(tick) * cadence_;
     // wall_at() pins the schedule to the model epoch, so sampling drift
     // never accumulates even when a sample runs long.
     if (cv_.wait_until(lock, clock->wall_at(target),
@@ -117,6 +76,7 @@ void LiveMonitor::run_loop(const Clock* clock) {
     Sample sample = sampler_();
     sample.now = clock->now();
     ingest_locked(sample, /*final_sample=*/false);
+    deliver(lock);
     ++tick;
   }
 }
@@ -131,248 +91,84 @@ void LiveMonitor::stop() {
   }
   cv_.notify_all();
   if (thread_.joinable()) thread_.join();
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::unique_lock<std::mutex> lock(mutex_);
   stopped_ = true;
   if (final_sampler) {
     Sample sample = final_sampler();
-    if (sample.now <= prev_.now) sample.now = prev_.now + config_.cadence;
+    if (sample.now <= prev_.now) sample.now = prev_.now + cadence_;
     ingest_locked(sample, /*final_sample=*/true);
+    deliver(lock);
   }
 }
 
 void LiveMonitor::observe(const Sample& sample) {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::unique_lock<std::mutex> lock(mutex_);
   ingest_locked(sample, /*final_sample=*/false);
+  deliver(lock);
 }
 
 void LiveMonitor::ingest_locked(const Sample& sample, bool final_sample) {
   const SimTime now = sample.now;
-  const Sample prev = have_prev_ ? prev_ : Sample{};
+  const auto repeat = [](std::uint64_t times, const auto& feed) {
+    for (std::uint64_t i = 0; i < times; ++i) feed();
+  };
 
   // Decisions enter the count windows admitted-first: their true
   // interleaving inside one sampling interval is unobservable.
-  const std::uint64_t d_admit = delta(sample.admitted, prev.admitted);
-  const std::uint64_t d_reject = delta(sample.rejected, prev.rejected);
-  for (std::uint64_t i = 0; i < d_admit; ++i) {
-    decisions_.observe(1.0);
-    for (RuleState& state : rules_) {
-      if (state.tail) state.tail->observe(1.0);
-    }
-  }
-  for (std::uint64_t i = 0; i < d_reject; ++i) {
-    decisions_.observe(0.0);
-    for (RuleState& state : rules_) {
-      if (state.tail) state.tail->observe(0.0);
-    }
-  }
-  decisions_total_ += d_admit + d_reject;
-
-  const auto feed_rate = [&](obs::live::SlidingWindow& window,
-                             std::uint64_t occurrences) {
-    for (std::uint64_t i = 0; i < occurrences; ++i) window.count(now);
-  };
-  const std::uint64_t d_helps = delta(sample.helps, prev.helps);
-  const std::uint64_t d_messages = delta(sample.messages, prev.messages);
-  feed_rate(helps_, d_helps);
-  feed_rate(messages_, d_messages);
-  feed_rate(rejections_, d_reject);
-  for (RuleState& state : rules_) {
-    if (!state.sliding || !obs::live::signal_rated(state.rule.signal)) {
-      continue;
-    }
-    feed_rate(*state.sliding,
-              state.rule.signal == RuleSignal::kHelpRate      ? d_helps
-              : state.rule.signal == RuleSignal::kMessageRate ? d_messages
-                                                              : d_reject);
-  }
+  const std::uint64_t d_reject = delta(sample.rejected, prev_.rejected);
+  repeat(delta(sample.admitted, prev_.admitted),
+         [&] { core_.decision(true); });
+  repeat(d_reject, [&] { core_.decision(false); });
+  repeat(delta(sample.helps, prev_.helps),
+         [&] { core_.occurrence(RuleSignal::kHelpRate, now); });
+  repeat(delta(sample.messages, prev_.messages),
+         [&] { core_.occurrence(RuleSignal::kMessageRate, now); });
+  repeat(d_reject,
+         [&] { core_.occurrence(RuleSignal::kRejectionRate, now); });
 
   // Episode latency: HostStats keeps sum and count, not per-episode
   // values, so the interval's closures all contribute its mean.
   const std::uint64_t d_closed =
-      delta(sample.episodes_closed, prev.episodes_closed);
+      delta(sample.episodes_closed, prev_.episodes_closed);
   if (d_closed > 0) {
     const double mean_latency =
-        (sample.latency_sum - prev.latency_sum) /
+        (sample.latency_sum - prev_.latency_sum) /
         static_cast<double>(d_closed);
-    for (std::uint64_t i = 0; i < d_closed; ++i) {
-      episode_latency_.observe(now, mean_latency);
-      for (RuleState& state : rules_) {
-        if (state.sliding && !obs::live::signal_rated(state.rule.signal)) {
-          state.sliding->observe(now, mean_latency);
-        }
-      }
-    }
+    repeat(d_closed, [&] { core_.latency(now, mean_latency); });
   }
-
   prev_ = sample;
-  have_prev_ = true;
 
-  helps_.advance(now);
-  messages_.advance(now);
-  rejections_.advance(now);
-  episode_latency_.advance(now);
-
-  for (RuleState& state : rules_) {
-    double effective_bound = 0.0;
-    const double value = evaluate_locked(state, now, &effective_bound);
-    state.last_value = value;
-    const bool holds =
-        obs::live::compare(state.rule.op, value, effective_bound);
-    if (holds == state.firing) continue;
-    state.firing = holds;
-    if (holds) ++alerts_fired_;
-    if (alert_listener_) alert_listener_(state.rule, holds, now, value);
-  }
-
-  ++snapshots_;
-  write_snapshot_locked(now, final_sample);
-}
-
-double LiveMonitor::evaluate_locked(RuleState& state, SimTime now,
-                                    double* effective_bound) {
-  const AlertRule& rule = state.rule;
-  *effective_bound = rule.bound;
-  switch (rule.signal) {
-    case RuleSignal::kAdmissionProbability: {
-      const WindowSnapshot snap = state.tail->snapshot();
-      return snap.count > 0 ? snap.mean() : 1.0;
-    }
-    case RuleSignal::kAdmissionBurn: {
-      const WindowSnapshot snap = state.tail->snapshot();
-      const double admission = snap.count > 0 ? snap.mean() : 1.0;
-      return (1.0 - admission) / (1.0 - rule.param);
-    }
-    case RuleSignal::kHelpRate:
-    case RuleSignal::kMessageRate:
-    case RuleSignal::kRejectionRate: {
-      state.sliding->advance(now);
-      if (rule.relative) {
-        const std::uint64_t total =
-            rule.signal == RuleSignal::kHelpRate ? prev_.helps
-            : rule.signal == RuleSignal::kMessageRate
-                ? prev_.messages
-                : prev_.rejected;
-        const double baseline =
-            now > 0.0 ? static_cast<double>(total) / now : 0.0;
-        *effective_bound = rule.bound * baseline;
-      }
-      return state.sliding->rate(now);
-    }
-    case RuleSignal::kEpisodeP50:
-    case RuleSignal::kEpisodeP90:
-    case RuleSignal::kEpisodeP99:
-      state.sliding->advance(now);
-      return state.sliding->quantile(signal_quantile(rule.signal));
-    case RuleSignal::kNodesAlive:
-      return static_cast<double>(prev_.nodes_alive);
-    case RuleSignal::kOpenEpisodes: {
-      const std::uint64_t decided =
-          prev_.episodes_closed + prev_.rejected;
-      return static_cast<double>(
-          delta(prev_.episodes_issued, decided));
-    }
-  }
-  return 0.0;
-}
-
-void LiveMonitor::write_snapshot_locked(SimTime now, bool final_sample) {
-  std::string snapshot;
-  snapshot += "# realtor_live snapshot ";
-  append_u64(snapshot, snapshots_);
-  snapshot += " t=";
-  append_double_shortest(snapshot, now);
-  snapshot += " plane=agile";
-  if (final_sample) snapshot += " final";
-  snapshot += '\n';
-
-  snapshot += "realtor_live_time ";
-  append_double_shortest(snapshot, now);
-  snapshot += '\n';
-  snapshot += "realtor_live_nodes_alive ";
-  append_double_shortest(snapshot, static_cast<double>(prev_.nodes_alive));
-  snapshot += '\n';
-  snapshot += "realtor_live_nodes_total ";
-  append_u64(snapshot, config_.node_count);
-  snapshot += '\n';
-  snapshot += "realtor_live_open_episodes ";
-  append_u64(snapshot,
-             delta(prev_.episodes_issued,
-                   prev_.episodes_closed + prev_.rejected));
-  snapshot += '\n';
-  snapshot += "realtor_live_decisions_total ";
-  append_u64(snapshot, decisions_total_);
-  snapshot += '\n';
-
-  const WindowSnapshot admissions = decisions_.snapshot();
-  snapshot += "realtor_live_admission_probability ";
-  append_double_shortest(snapshot,
-                         admissions.count > 0 ? admissions.mean() : 1.0);
-  snapshot += '\n';
-  snapshot += "realtor_live_help_rate ";
-  append_double_shortest(snapshot, helps_.rate(now));
-  snapshot += '\n';
-  snapshot += "realtor_live_message_rate ";
-  append_double_shortest(snapshot, messages_.rate(now));
-  snapshot += '\n';
-  snapshot += "realtor_live_rejection_rate ";
-  append_double_shortest(snapshot, rejections_.rate(now));
-  snapshot += '\n';
-  snapshot += "realtor_live_episode_latency_p50 ";
-  append_double_shortest(snapshot, episode_latency_.quantile(0.50));
-  snapshot += '\n';
-  snapshot += "realtor_live_episode_latency_p99 ";
-  append_double_shortest(snapshot, episode_latency_.quantile(0.99));
-  snapshot += '\n';
-
-  snapshot += "realtor_live_alerts_fired_total ";
-  append_u64(snapshot, alerts_fired_);
-  snapshot += '\n';
-  for (const RuleState& state : rules_) {
-    snapshot += "realtor_live_alert{rule=\"";
-    append_label_escaped(snapshot, state.rule.name);
-    snapshot += "\"} ";
-    snapshot += state.firing ? '1' : '0';
-    snapshot += '\n';
-    snapshot += "realtor_live_alert_value{rule=\"";
-    append_label_escaped(snapshot, state.rule.name);
-    snapshot += "\"} ";
-    append_double_shortest(snapshot, state.last_value);
-    snapshot += '\n';
-  }
-  snapshot += '\n';
-
-  text_ += snapshot;
-  if (config_.out.empty()) return;
-  if (to_stdout_) {
-    std::fwrite(snapshot.data(), 1, snapshot.size(), stdout);
-    std::fflush(stdout);
-    return;
-  }
-  std::ofstream file(config_.out, std::ios::trunc);
-  if (file) file << snapshot;
+  const obs::live::LiveCore::Gauges gauges{
+      sample.nodes_alive,
+      delta(sample.episodes_issued,
+            sample.episodes_closed + sample.rejected)};
+  core_.tick(
+      now, final_sample, gauges,
+      [this, now](const obs::live::AlertRule& rule, bool firing,
+                  double value, double) {
+        fired_.push_back(Transition{rule, firing, now, value});
+      },
+      [](std::string&) {});
 }
 
 std::uint64_t LiveMonitor::snapshots() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return snapshots_;
+  return core_.snapshots();
 }
 
 std::uint64_t LiveMonitor::alerts_fired() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return alerts_fired_;
+  return core_.alerts_fired();
 }
 
 bool LiveMonitor::alert_firing(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  for (const RuleState& state : rules_) {
-    if (state.rule.name == name) return state.firing;
-  }
-  return false;
+  return core_.alert_firing(name);
 }
 
 std::string LiveMonitor::exposition() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return text_;
+  return core_.exposition();
 }
 
 }  // namespace realtor::agile

@@ -4,11 +4,13 @@
 // trace events and therefore deterministic. The agile testbed has no such
 // luxury: twenty reactor threads bump atomic counters in real time. The
 // LiveMonitor closes the gap by sampling those counters from its own
-// wall-clock thread at a model-time cadence, feeding the *same* window
-// and rule machinery (obs/live/window.hpp, obs/live/rules.hpp), and
-// writing the same Prometheus-text exposition. Alert semantics match the
-// simulation plane; only the evidence differs — counter deltas per
-// sampling interval instead of individual trace events, so:
+// wall-clock thread at a model-time cadence. It is the live-alert core's
+// (obs/live/live_core.hpp) second adapter, next to the plane: the core
+// owns the windows, rules, evaluation and exposition; the monitor keeps
+// only the sampler thread, Clock::wall_at pacing, the mutex, the
+// counter-delta adapter and the `plane=agile` header tag. Alert semantics
+// match the simulation plane; only the evidence differs — counter deltas
+// per sampling interval instead of individual trace events, so:
 //
 //   - admission decisions within one interval enter the decision window
 //     admitted-first (their true interleaving is unobservable);
@@ -24,38 +26,23 @@
 #include <condition_variable>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "agile/clock.hpp"
 #include "common/types.hpp"
-#include "obs/live/rules.hpp"
-#include "obs/live/window.hpp"
+#include "obs/live/live_core.hpp"
 
 namespace realtor::agile {
 
-struct LiveMonitorConfig {
-  /// Exposition destination: a file path (rewritten in place per snapshot
-  /// so it always holds the latest scrape), "-" (stdout, appending), or
-  /// empty (no file — snapshots still accumulate in exposition()).
-  std::string out;
+/// The shared live configuration plus the sampling cadence. The monitor
+/// always writes each snapshot through to `out` (a file is rewritten in
+/// place, "-" and "fd:<n>" append), so `write_through` is ignored.
+struct LiveMonitorConfig : obs::live::LiveConfig {
   /// Model seconds between samples (converted to wall time by the
   /// cluster's Clock).
   double cadence = 1.0;
-  /// Time-window span in model seconds for rate/latency signals.
-  double window = 30.0;
-  /// Ring buckets per time window.
-  std::size_t buckets = 6;
-  /// Count window (decisions) for admission signals.
-  std::size_t decision_window = 50;
-  /// Per-bucket quantile reservoir for the latency window.
-  std::size_t latency_reservoir = 256;
-  /// Rule specs (obs/live/rules.hpp grammar). Empty = defaults.
-  std::vector<std::string> rules;
-  /// Host count for the nodes_alive gauge denominator.
-  std::uint64_t node_count = 0;
 };
 
 /// Samples the cluster's atomics on a wall-clock thread and evaluates the
@@ -79,20 +66,20 @@ class LiveMonitor {
     std::uint64_t episodes_issued = 0;
   };
   using Sampler = std::function<Sample()>;
-  using AlertListener = std::function<void(
-      const obs::live::AlertRule& rule, bool firing, SimTime time,
-      double value)>;
 
   explicit LiveMonitor(LiveMonitorConfig config);
   ~LiveMonitor();
   LiveMonitor(const LiveMonitor&) = delete;
   LiveMonitor& operator=(const LiveMonitor&) = delete;
 
-  /// False when a rule failed to parse; error() explains.
-  bool ok() const { return ok_; }
-  const std::string& error() const { return error_; }
+  /// False when a rule failed to parse or the exposition target could not
+  /// be written; error() lists every failure.
+  bool ok() const;
+  std::string error() const;
 
-  void set_alert_listener(AlertListener listener);
+  /// Transitions reach the listener after the monitor's lock is released,
+  /// so a listener may call back into the monitor.
+  void set_alert_listener(obs::live::AlertListener listener);
 
   /// Spawns the sampling thread: every `cadence` model seconds it calls
   /// `sampler`, evaluates rules, and writes a snapshot. `clock` must
@@ -114,47 +101,32 @@ class LiveMonitor {
   std::string exposition() const;
 
  private:
-  struct RuleState {
+  struct Transition {
     obs::live::AlertRule rule;
-    bool firing = false;
-    double last_value = 0.0;
-    std::optional<obs::live::TailWindow> tail;
-    std::optional<obs::live::SlidingWindow> sliding;
+    bool firing;
+    SimTime time;
+    double value;
   };
 
   void ingest_locked(const Sample& sample, bool final_sample);
-  double evaluate_locked(RuleState& state, SimTime now,
-                         double* effective_bound);
-  void write_snapshot_locked(SimTime now, bool final_sample);
+  /// Hands the transitions of the last ingest to the listener with
+  /// `lock` released.
+  void deliver(std::unique_lock<std::mutex>& lock);
   void run_loop(const Clock* clock);
 
-  LiveMonitorConfig config_;
-  bool ok_ = true;
-  std::string error_;
-
-  mutable std::mutex mutex_;
+  const double cadence_;
+  mutable std::mutex mutex_;  // guards everything below but thread_
   std::condition_variable cv_;
-  std::thread thread_;
   bool stop_requested_ = false;
   bool stopped_ = true;
   Sampler sampler_;
-  AlertListener alert_listener_;
+  obs::live::AlertListener listener_;
+  std::vector<Transition> fired_;  // awaiting deliver()
 
-  std::vector<RuleState> rules_;
-  obs::live::TailWindow decisions_;
-  obs::live::SlidingWindow helps_;
-  obs::live::SlidingWindow messages_;
-  obs::live::SlidingWindow rejections_;
-  obs::live::SlidingWindow episode_latency_;
-
-  bool have_prev_ = false;
+  obs::live::LiveCore core_;
   Sample prev_;
-  std::uint64_t decisions_total_ = 0;
-  std::uint64_t snapshots_ = 0;
-  std::uint64_t alerts_fired_ = 0;
 
-  std::string text_;
-  bool to_stdout_ = false;
+  std::thread thread_;  // last: it runs on every member above
 };
 
 }  // namespace realtor::agile

@@ -51,4 +51,10 @@ void append_double_shortest(std::string& out, double value) {
   out.append(buf, res.ptr);
 }
 
+void append_u64(std::string& out, std::uint64_t value) {
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof buf, value);
+  out.append(buf, res.ptr);
+}
+
 }  // namespace realtor

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
 namespace realtor {
@@ -39,5 +40,8 @@ std::string format_double(double value, int precision);
 /// Locale-independent by specification; kept here so callers outside the
 /// sinks don't re-derive the to_chars dance.
 void append_double_shortest(std::string& out, double value);
+
+/// Appends the decimal form of `value`.
+void append_u64(std::string& out, std::uint64_t value);
 
 }  // namespace realtor

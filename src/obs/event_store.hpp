@@ -73,15 +73,12 @@ class TextArena {
   /// Moves every chunk of `other` into this arena (addresses unchanged).
   void adopt(TextArena&& other);
 
-  std::size_t bytes_used() const { return bytes_used_; }
-
  private:
   static constexpr std::size_t kChunkSize = 64 * 1024;
 
   std::vector<std::unique_ptr<char[]>> chunks_;
   char* cursor_ = nullptr;
   char* chunk_end_ = nullptr;
-  std::size_t bytes_used_ = 0;
 };
 
 /// string -> dense StrId interner (open-addressed FNV-1a). Ids are handed
@@ -273,17 +270,11 @@ class EventStore {
   /// Interner access: id of `text` when interned, else kNoStrId.
   StrId find_id(std::string_view text) const { return interner_.find(text); }
   std::string_view name(StrId id) const { return interner_.name(id); }
-  const char* name_cstr(StrId id) const { return interner_.name_cstr(id); }
   EventKind kind_of(StrId id) const { return interner_.kind(id); }
 
   // --- builder API (flight decode, tests) -------------------------------
   StrId intern(std::string_view text) {
     return interner_.intern(text, arena_);
-  }
-  /// Copies `text` into the arena (NUL-terminated) and returns the stable
-  /// view — for string values whose backing would not outlive the store.
-  std::string_view store_text(std::string_view text) {
-    return arena_.store(text);
   }
   void reserve(std::size_t events, std::size_t fields) {
     events_.reserve(events);
@@ -296,7 +287,7 @@ class EventStore {
     begin_event(time, node, intern(kind));
   }
   void add_number(StrId key, double value);
-  /// `text` must outlive the store: arena/store_text result, mapped
+  /// `text` must outlive the store: arena result, mapped
   /// buffer contents, or static storage.
   void add_string(StrId key, std::string_view text);
   void add_bool(StrId key, bool value);

@@ -1,17 +1,12 @@
 #include "obs/jsonl_sink.hpp"
 
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 
+#include "common/format.hpp"
+
 namespace realtor::obs {
 namespace {
-
-void append_uint(std::string& out, std::uint64_t value) {
-  char buf[24];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), value);
-  out.append(buf, res.ptr);
-}
 
 void append_double(std::string& out, double value) {
   // Shortest round-trip form; JSON has no inf/nan, quote those.
@@ -19,9 +14,7 @@ void append_double(std::string& out, double value) {
     out += std::isnan(value) ? "\"nan\"" : (value > 0 ? "\"inf\"" : "\"-inf\"");
     return;
   }
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), value);
-  out.append(buf, res.ptr);
+  append_double_shortest(out, value);
 }
 
 }  // namespace
@@ -64,7 +57,7 @@ std::string format_jsonl(const TraceEvent& event) {
   append_double(line, event.time);
   if (event.node != kInvalidNode) {
     line += ",\"node\":";
-    append_uint(line, event.node);
+    append_u64(line, event.node);
   }
   line += ",\"kind\":\"";
   line += to_string(event.kind);
@@ -76,7 +69,7 @@ std::string format_jsonl(const TraceEvent& event) {
     line += "\":";
     switch (field.type) {
       case TraceField::Type::kUint:
-        append_uint(line, field.u);
+        append_u64(line, field.u);
         break;
       case TraceField::Type::kDouble:
         append_double(line, field.d);

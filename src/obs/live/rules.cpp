@@ -1,5 +1,6 @@
 #include "obs/live/rules.hpp"
 
+#include <cmath>
 #include <cstdlib>
 
 #include "common/format.hpp"
@@ -26,11 +27,13 @@ constexpr SignalName kSignals[] = {
     {"open_episodes", RuleSignal::kOpenEpisodes},
 };
 
+/// Finite numbers only: NaN and infinity do not survive to_string() as the
+/// same rule, and a NaN bound never compares true.
 bool parse_double(const std::string& text, double& out) {
   if (text.empty()) return false;
   char* end = nullptr;
   out = std::strtod(text.c_str(), &end);
-  return end == text.c_str() + text.size();
+  return end == text.c_str() + text.size() && std::isfinite(out);
 }
 
 bool fail(std::string* error, const std::string& message) {
@@ -145,6 +148,14 @@ bool parse_alert_rule(const std::string& spec, AlertRule& out,
   if (!found) {
     return fail(error, "alert rule '" + out.name + "': unknown signal '" +
                            signal_text + "'");
+  }
+  if (at != std::string::npos && out.signal != RuleSignal::kAdmissionBurn) {
+    return fail(error, "alert rule '" + out.name +
+                           "': only admission_burn takes an @param");
+  }
+  if (signal_count_windowed(out.signal) && out.window > 1e6) {
+    return fail(error, "alert rule '" + out.name +
+                           "': count windows hold at most 1e6 decisions");
   }
 
   std::string bound_text = expr.substr(bound_pos);

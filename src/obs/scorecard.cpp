@@ -1,7 +1,6 @@
 #include "obs/scorecard.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -12,20 +11,12 @@
 namespace realtor::obs {
 namespace {
 
-void append_uint(std::string& out, std::uint64_t value) {
-  char buf[24];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), value);
-  out.append(buf, res.ptr);
-}
-
 void append_double(std::string& out, double value) {
   if (!std::isfinite(value)) {  // defensive: stages are finite by design
     out += "null";
     return;
   }
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), value);
-  out.append(buf, res.ptr);
+  append_double_shortest(out, value);
 }
 
 void append_latency(std::string& out, const char* name,
@@ -34,7 +25,7 @@ void append_latency(std::string& out, const char* name,
   out += name;
   out += "\":{\"n\":";
   const auto& stats = histogram.stats();
-  append_uint(out, stats.count());
+  append_u64(out, stats.count());
   if (stats.count() > 0) {
     out += ",\"mean\":";
     append_double(out, stats.mean());
@@ -204,13 +195,13 @@ std::string render_scorecard_json(const Scorecard& card) {
   std::string out;
   out.reserve(1024);
   out += "{\"records\":";
-  append_uint(out, card.records);
+  append_u64(out, card.records);
   out += ",\"episodes\":";
-  append_uint(out, card.episodes);
+  append_u64(out, card.episodes);
   out += ",\"deadline_misses\":";
-  append_uint(out, card.deadline_misses);
+  append_u64(out, card.deadline_misses);
   out += ",\"unreachable_drops\":";
-  append_uint(out, card.unreachable_drops);
+  append_u64(out, card.unreachable_drops);
 
   out += ",\"stages\":{";
   append_latency(out, "help_to_pledge", card.help_to_pledge);
@@ -227,7 +218,7 @@ std::string render_scorecard_json(const Scorecard& card) {
     const AttackReport& wave = card.attacks[i];
     if (i > 0) out += ',';
     out += "{\"index\":";
-    append_uint(out, wave.index);
+    append_u64(out, wave.index);
     out += ",\"warn\":";
     append_double(out, wave.warn_time);
     out += ",\"kill\":";
@@ -235,24 +226,24 @@ std::string render_scorecard_json(const Scorecard& card) {
     out += ",\"victims\":[";
     for (std::size_t v = 0; v < wave.victims.size(); ++v) {
       if (v > 0) out += ',';
-      append_uint(out, wave.victims[v]);
+      append_u64(out, wave.victims[v]);
     }
     out += "],\"lost\":";
-    append_uint(out, wave.lost);
+    append_u64(out, wave.lost);
     out += ",\"evac_resident\":";
-    append_uint(out, wave.evac_resident);
+    append_u64(out, wave.evac_resident);
     out += ",\"evac_saved\":";
-    append_uint(out, wave.evac_saved);
+    append_u64(out, wave.evac_saved);
     out += ",\"episodes\":";
-    append_uint(out, wave.episodes);
+    append_u64(out, wave.episodes);
     out += ",\"pledges\":";
-    append_uint(out, wave.pledges);
+    append_u64(out, wave.pledges);
     out += ",\"migrations\":";
-    append_uint(out, wave.migrations);
+    append_u64(out, wave.migrations);
     out += ",\"deadline_misses\":";
-    append_uint(out, wave.deadline_misses);
+    append_u64(out, wave.deadline_misses);
     out += ",\"unreachable_drops\":";
-    append_uint(out, wave.unreachable_drops);
+    append_u64(out, wave.unreachable_drops);
     out += ",\"mttr\":";
     if (wave.has_mttr()) {
       append_double(out, wave.mttr);
@@ -270,11 +261,11 @@ std::string render_scorecard_json(const Scorecard& card) {
     const EpisodeAttribution& row = card.episode_attribution[i];
     if (i > 0) out += ',';
     out += "{\"episode\":";
-    append_uint(out, row.episode);
+    append_u64(out, row.episode);
     out += ",\"deadline_misses\":";
-    append_uint(out, row.deadline_misses);
+    append_u64(out, row.deadline_misses);
     out += ",\"unreachable_drops\":";
-    append_uint(out, row.unreachable_drops);
+    append_u64(out, row.unreachable_drops);
     out += '}';
   }
   out += "]}";

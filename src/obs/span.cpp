@@ -1,38 +1,59 @@
 #include "obs/span.hpp"
 
-#include <algorithm>
-#include <cstring>
 #include <map>
+#include <string_view>
 
 namespace realtor::obs {
 namespace {
 
-bool is_peer_key(std::string_view key) {
-  return key == "origin" || key == "organizer" || key == "pledger" ||
-         key == "target";
+/// The SpanEvent member a payload key lands in.
+enum class SpanField : std::uint8_t {
+  kNone, kEpisode, kPeer, kAvailability, kInterval, kUrgency, kAnswered,
+  kLineage, kCause, kBackoff
+};
+
+struct SpanKey {
+  const char* key;
+  SpanField field;
+};
+
+/// The one key table both normalizers resolve against.
+constexpr SpanKey kSpanKeys[] = {
+    {"episode", SpanField::kEpisode},
+    {"origin", SpanField::kPeer},
+    {"organizer", SpanField::kPeer},
+    {"pledger", SpanField::kPeer},
+    {"target", SpanField::kPeer},
+    {"availability", SpanField::kAvailability},
+    {"interval", SpanField::kInterval},
+    {"urgency", SpanField::kUrgency},
+    {"answered", SpanField::kAnswered},
+    {"id", SpanField::kLineage},
+    {"cause", SpanField::kCause},
+    {"backoff", SpanField::kBackoff},
+};
+
+SpanField span_field(std::string_view key) {
+  for (const SpanKey& entry : kSpanKeys) {
+    if (key == entry.key) return entry.field;
+  }
+  return SpanField::kNone;
 }
 
-void apply_field(SpanEvent& out, std::string_view key, double number,
-                 bool boolean, bool is_bool) {
-  if (key == "episode") {
-    out.episode = static_cast<std::uint64_t>(number);
-  } else if (is_peer_key(key)) {
-    out.peer = static_cast<NodeId>(number);
-  } else if (key == "availability") {
-    out.availability = number;
-  } else if (key == "interval") {
-    out.interval = number;
-  } else if (key == "urgency") {
-    out.urgency = number;
-  } else if (key == "answered" && is_bool) {
-    out.answered = boolean;
-  } else if (key == "id") {
-    out.lineage = static_cast<std::uint64_t>(number);
-  } else if (key == "cause") {
-    out.cause = static_cast<std::uint64_t>(number);
-  } else if (key == "backoff") {
-    out.backoff = number;
-  }
+/// `number` is the field's numeric value (0.0 for non-number types);
+/// `answered` takes only a bool-typed field.
+void apply_field(SpanEvent& out, SpanField field, double number,
+                 bool is_bool, bool boolean) {
+  using F = SpanField;
+  if (field == F::kEpisode) out.episode = static_cast<std::uint64_t>(number);
+  if (field == F::kPeer) out.peer = static_cast<NodeId>(number);
+  if (field == F::kAvailability) out.availability = number;
+  if (field == F::kInterval) out.interval = number;
+  if (field == F::kUrgency) out.urgency = number;
+  if (field == F::kAnswered && is_bool) out.answered = boolean;
+  if (field == F::kLineage) out.lineage = static_cast<std::uint64_t>(number);
+  if (field == F::kCause) out.cause = static_cast<std::uint64_t>(number);
+  if (field == F::kBackoff) out.backoff = number;
 }
 
 }  // namespace
@@ -57,7 +78,8 @@ SpanEvent normalize(const TraceEvent& event) {
     }
     // Read the union's bool member only when it is the active one.
     const bool is_bool = field.type == TraceField::Type::kBool;
-    apply_field(out, field.key, number, is_bool && field.b, is_bool);
+    apply_field(out, span_field(field.key), number, is_bool,
+                is_bool && field.b);
   }
   return out;
 }
@@ -73,21 +95,16 @@ std::vector<SpanEvent> normalize_events(
 }
 
 std::vector<SpanEvent> normalize_events(const EventStore& store) {
-  // The keys apply_field() dispatches on, resolved to interned ids once.
-  // Keys the trace never used resolve to kNoStrId, which no stored field
-  // carries.
-  const StrId episode = store.find_id("episode");
-  const StrId origin = store.find_id("origin");
-  const StrId organizer = store.find_id("organizer");
-  const StrId pledger = store.find_id("pledger");
-  const StrId target = store.find_id("target");
-  const StrId availability = store.find_id("availability");
-  const StrId interval = store.find_id("interval");
-  const StrId urgency = store.find_id("urgency");
-  const StrId answered = store.find_id("answered");
-  const StrId id = store.find_id("id");
-  const StrId cause = store.find_id("cause");
-  const StrId backoff = store.find_id("backoff");
+  // Resolve the key table to interned ids once: by_id[key] is the field a
+  // stored key lands in. Keys the trace never used resolve to kNoStrId,
+  // which no stored field carries.
+  std::vector<SpanField> by_id;
+  for (const SpanKey& entry : kSpanKeys) {
+    const StrId id = store.find_id(entry.key);
+    if (id == kNoStrId) continue;
+    if (id >= by_id.size()) by_id.resize(id + 1, SpanField::kNone);
+    by_id[id] = entry.field;
+  }
 
   std::vector<SpanEvent> out;
   out.reserve(store.size());
@@ -102,28 +119,10 @@ std::vector<SpanEvent> normalize_events(const EventStore& store) {
     const StoredField* field = fields.data() + rec.field_begin;
     const StoredField* end = field + rec.field_count;
     for (; field != end; ++field) {
-      const double number = field->number;  // 0.0 for non-number types
-      if (field->key == episode) {
-        span.episode = static_cast<std::uint64_t>(number);
-      } else if (field->key == origin || field->key == organizer ||
-                 field->key == pledger || field->key == target) {
-        span.peer = static_cast<NodeId>(number);
-      } else if (field->key == availability) {
-        span.availability = number;
-      } else if (field->key == interval) {
-        span.interval = number;
-      } else if (field->key == urgency) {
-        span.urgency = number;
-      } else if (field->key == answered &&
-                 field->type == FieldType::kBool) {
-        span.answered = field->boolean;
-      } else if (field->key == id) {
-        span.lineage = static_cast<std::uint64_t>(number);
-      } else if (field->key == cause) {
-        span.cause = static_cast<std::uint64_t>(number);
-      } else if (field->key == backoff) {
-        span.backoff = number;
-      }
+      if (field->key >= by_id.size()) continue;
+      const bool is_bool = field->type == FieldType::kBool;
+      apply_field(span, by_id[field->key], field->number, is_bool,
+                  is_bool && field->boolean);
     }
     out.push_back(span);
   }

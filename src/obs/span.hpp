@@ -109,7 +109,6 @@ struct Episode {
   SimTime time_to_migration() const {
     return first_migration_time - start_time;
   }
-  bool has_attempt() const { return first_attempt_time >= 0.0; }
   bool has_admission() const { return first_admission_time >= 0.0; }
 };
 

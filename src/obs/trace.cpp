@@ -1,85 +1,42 @@
 #include "obs/trace.hpp"
 
+#include <iterator>
+
 #include "common/assert.hpp"
 
 namespace realtor::obs {
 
+namespace {
+
+/// Stable names, in EventKind order.
+constexpr const char* kKindNames[] = {
+    "help_sent",         "help_received",       "pledge_sent",
+    "pledge_received",   "advert_sent",         "gossip_round",
+    "help_interval",     "threshold_crossing",  "community_join",
+    "community_expire",  "solicit",             "task_arrival",
+    "task_admit_local",  "task_admit_migrated", "task_rejected",
+    "task_completed",    "migration_attempt",   "migration_abort",
+    "migration_success", "node_killed",         "node_restored",
+    "evacuation",        "escalation",          "deadline_miss",
+    "unreachable_drop",  "engine_step",         "node_sample",
+    "system_sample",     "live_tick",           "alert_firing",
+    "alert_cleared",
+};
+static_assert(std::size(kKindNames) ==
+                  static_cast<std::size_t>(EventKind::kCount),
+              "one name per EventKind");
+
+}  // namespace
+
 const char* to_string(EventKind kind) {
-  switch (kind) {
-    case EventKind::kHelpSent:
-      return "help_sent";
-    case EventKind::kHelpReceived:
-      return "help_received";
-    case EventKind::kPledgeSent:
-      return "pledge_sent";
-    case EventKind::kPledgeReceived:
-      return "pledge_received";
-    case EventKind::kAdvertSent:
-      return "advert_sent";
-    case EventKind::kGossipRound:
-      return "gossip_round";
-    case EventKind::kHelpInterval:
-      return "help_interval";
-    case EventKind::kThresholdCrossing:
-      return "threshold_crossing";
-    case EventKind::kCommunityJoin:
-      return "community_join";
-    case EventKind::kCommunityExpire:
-      return "community_expire";
-    case EventKind::kSolicit:
-      return "solicit";
-    case EventKind::kTaskArrival:
-      return "task_arrival";
-    case EventKind::kTaskAdmitLocal:
-      return "task_admit_local";
-    case EventKind::kTaskAdmitMigrated:
-      return "task_admit_migrated";
-    case EventKind::kTaskRejected:
-      return "task_rejected";
-    case EventKind::kTaskCompleted:
-      return "task_completed";
-    case EventKind::kMigrationAttempt:
-      return "migration_attempt";
-    case EventKind::kMigrationAbort:
-      return "migration_abort";
-    case EventKind::kMigrationSuccess:
-      return "migration_success";
-    case EventKind::kNodeKilled:
-      return "node_killed";
-    case EventKind::kNodeRestored:
-      return "node_restored";
-    case EventKind::kEvacuation:
-      return "evacuation";
-    case EventKind::kEscalation:
-      return "escalation";
-    case EventKind::kDeadlineMiss:
-      return "deadline_miss";
-    case EventKind::kUnreachableDrop:
-      return "unreachable_drop";
-    case EventKind::kEngineStep:
-      return "engine_step";
-    case EventKind::kNodeSample:
-      return "node_sample";
-    case EventKind::kSystemSample:
-      return "system_sample";
-    case EventKind::kLiveTick:
-      return "live_tick";
-    case EventKind::kAlertFiring:
-      return "alert_firing";
-    case EventKind::kAlertCleared:
-      return "alert_cleared";
-    case EventKind::kCount:
-      break;
-  }
-  return "?";
+  const auto index = static_cast<std::size_t>(kind);
+  return index < std::size(kKindNames) ? kKindNames[index] : "?";
 }
 
 bool parse_event_kind(std::string_view name, EventKind& out) {
-  for (std::size_t i = 0; i < static_cast<std::size_t>(EventKind::kCount);
-       ++i) {
-    const auto kind = static_cast<EventKind>(i);
-    if (name == to_string(kind)) {
-      out = kind;
+  for (std::size_t i = 0; i < std::size(kKindNames); ++i) {
+    if (name == kKindNames[i]) {
+      out = static_cast<EventKind>(i);
       return true;
     }
   }

@@ -2,7 +2,9 @@
 // so each cluster run takes well under a second of wall time.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
+#include <thread>
 
 #include "agile/cluster.hpp"
 
@@ -293,6 +295,30 @@ TEST(ClusterRun, LiveMonitorSamplesOnItsThread) {
   EXPECT_NE(header.find(" plane=agile final"), std::string::npos) << header;
   EXPECT_NE(text.find("realtor_live_nodes_total 4\n", last),
             std::string::npos);
+}
+
+// The monitor's accessors are safe to call while the sampler thread runs
+// (the TSan job holds this test to it): a reader polls them throughout
+// the run.
+TEST(ClusterRun, LiveMonitorReadsRaceFreeDuringARun) {
+  ClusterConfig config = small_config(2.0);
+  config.live = LiveMonitorConfig{};
+  Cluster cluster(config);
+  ASSERT_NE(cluster.live(), nullptr);
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    const LiveMonitor& live = *cluster.live();
+    while (!done.load()) {
+      static_cast<void>(live.snapshots() + live.alerts_fired());
+      static_cast<void>(live.alert_firing("admission_low"));
+      static_cast<void>(live.exposition());
+      std::this_thread::yield();
+    }
+  });
+  cluster.run();
+  done.store(true);
+  reader.join();
+  EXPECT_GT(cluster.live()->snapshots(), 0u);
 }
 
 }  // namespace

@@ -139,5 +139,19 @@ realtor_live_alert_value{rule="help_storm"} 0
   EXPECT_EQ(monitor.exposition(), expected.substr(1));
 }
 
+// The listener runs with the monitor's lock released, so it may read the
+// monitor back (a listener that did so used to deadlock).
+TEST(LiveMonitor, ListenerMayCallBackIntoTheMonitor) {
+  LiveMonitor monitor{LiveMonitorConfig{}};
+  std::vector<bool> seen;
+  monitor.set_alert_listener([&](const obs::live::AlertRule& rule, bool,
+                                 SimTime, double) {
+    seen.push_back(monitor.alert_firing(rule.name));
+  });
+  monitor.observe(sample(10.0, 1, 10, 0, 0, 0, 0.0, 4, 11));
+  EXPECT_EQ(seen, std::vector<bool>{true});
+  EXPECT_EQ(monitor.snapshots(), 1u);
+}
+
 }  // namespace
 }  // namespace realtor::agile
