@@ -113,6 +113,7 @@ int main(int argc, char** argv) {
     if (live_out == "true") live_out = "live.prom";
     agile::LiveMonitorConfig live;
     live.out = live_out;
+    live.write_through = true;
     live.cadence = flags.get_double("live-cadence", 1.0);
     live.window = flags.get_double("live-window", 10.0);
     const std::string rules = flags.get_string("alert", "");

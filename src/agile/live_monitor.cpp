@@ -10,17 +10,10 @@ std::uint64_t delta(std::uint64_t now, std::uint64_t before) {
   return now > before ? now - before : 0;
 }
 
-obs::live::LiveConfig write_through(obs::live::LiveConfig config) {
-  config.write_through = true;
-  return config;
-}
-
 }  // namespace
 
 LiveMonitor::LiveMonitor(LiveMonitorConfig config)
-    : cadence_(config.cadence),
-      core_(write_through(std::move(config)), " plane=agile",
-            /*keep_history=*/true) {}
+    : cadence_(config.cadence), core_(std::move(config), " plane=agile") {}
 
 LiveMonitor::~LiveMonitor() { stop(); }
 
@@ -37,20 +30,6 @@ std::string LiveMonitor::error() const {
 void LiveMonitor::set_alert_listener(obs::live::AlertListener listener) {
   std::lock_guard<std::mutex> lock(mutex_);
   listener_ = std::move(listener);
-}
-
-void LiveMonitor::deliver(std::unique_lock<std::mutex>& lock) {
-  if (fired_.empty()) return;
-  const std::vector<Transition> fired = std::move(fired_);
-  fired_.clear();
-  const obs::live::AlertListener listener = listener_;
-  lock.unlock();
-  if (listener) {
-    for (const Transition& t : fired) {
-      listener(t.rule, t.firing, t.time, t.value);
-    }
-  }
-  lock.lock();
 }
 
 void LiveMonitor::start(const Clock& clock, Sampler sampler) {
@@ -76,7 +55,6 @@ void LiveMonitor::run_loop(const Clock* clock) {
     Sample sample = sampler_();
     sample.now = clock->now();
     ingest_locked(sample, /*final_sample=*/false);
-    deliver(lock);
     ++tick;
   }
 }
@@ -91,20 +69,19 @@ void LiveMonitor::stop() {
   }
   cv_.notify_all();
   if (thread_.joinable()) thread_.join();
-  std::unique_lock<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(mutex_);
   stopped_ = true;
   if (final_sampler) {
     Sample sample = final_sampler();
     if (sample.now <= prev_.now) sample.now = prev_.now + cadence_;
     ingest_locked(sample, /*final_sample=*/true);
-    deliver(lock);
   }
+  core_.flush();
 }
 
 void LiveMonitor::observe(const Sample& sample) {
-  std::unique_lock<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(mutex_);
   ingest_locked(sample, /*final_sample=*/false);
-  deliver(lock);
 }
 
 void LiveMonitor::ingest_locked(const Sample& sample, bool final_sample) {
@@ -146,7 +123,7 @@ void LiveMonitor::ingest_locked(const Sample& sample, bool final_sample) {
       now, final_sample, gauges,
       [this, now](const obs::live::AlertRule& rule, bool firing,
                   double value, double) {
-        fired_.push_back(Transition{rule, firing, now, value});
+        if (listener_) listener_(rule, firing, now, value);
       },
       [](std::string&) {});
 }

@@ -28,7 +28,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "agile/clock.hpp"
 #include "common/types.hpp"
@@ -36,9 +35,10 @@
 
 namespace realtor::agile {
 
-/// The shared live configuration plus the sampling cadence. The monitor
-/// always writes each snapshot through to `out` (a file is rewritten in
-/// place, "-" and "fd:<n>" append), so `write_through` is ignored.
+/// The shared live configuration plus the sampling cadence. `out` and
+/// `write_through` mean what they mean on the simulation plane: write
+/// each snapshot through (a file is rewritten in place, "-" and "fd:<n>"
+/// append), or buffer the history and write it once stop() ends the run.
 struct LiveMonitorConfig : obs::live::LiveConfig {
   /// Model seconds between samples (converted to wall time by the
   /// cluster's Clock).
@@ -77,16 +77,18 @@ class LiveMonitor {
   bool ok() const;
   std::string error() const;
 
-  /// Transitions reach the listener after the monitor's lock is released,
-  /// so a listener may call back into the monitor.
+  /// The listener runs on the sampling thread (or the observe()/stop()
+  /// caller) under the monitor's lock, so it must not call back into the
+  /// monitor.
   void set_alert_listener(obs::live::AlertListener listener);
 
   /// Spawns the sampling thread: every `cadence` model seconds it calls
   /// `sampler`, evaluates rules, and writes a snapshot. `clock` must
   /// outlive the monitor.
   void start(const Clock& clock, Sampler sampler);
-  /// Takes one final sample, writes the final snapshot, joins the thread.
-  /// Idempotent; also called by the destructor.
+  /// Takes one final sample, writes the final snapshot (and, buffered, the
+  /// whole history), joins the thread. Idempotent; also called by the
+  /// destructor.
   void stop();
 
   /// Direct-drive mode for tests: feed one cumulative sample (no thread).
@@ -96,22 +98,12 @@ class LiveMonitor {
   std::uint64_t snapshots() const;
   std::uint64_t alerts_fired() const;
   bool alert_firing(const std::string& name) const;
-  /// Concatenated snapshot history (same text as the `out` target's
-  /// latest snapshot, but never truncated).
+  /// Snapshot history accumulated so far (buffered mode or no target
+  /// only; empty while writing through to a target).
   std::string exposition() const;
 
  private:
-  struct Transition {
-    obs::live::AlertRule rule;
-    bool firing;
-    SimTime time;
-    double value;
-  };
-
   void ingest_locked(const Sample& sample, bool final_sample);
-  /// Hands the transitions of the last ingest to the listener with
-  /// `lock` released.
-  void deliver(std::unique_lock<std::mutex>& lock);
   void run_loop(const Clock* clock);
 
   const double cadence_;
@@ -121,7 +113,6 @@ class LiveMonitor {
   bool stopped_ = true;
   Sampler sampler_;
   obs::live::AlertListener listener_;
-  std::vector<Transition> fired_;  // awaiting deliver()
 
   obs::live::LiveCore core_;
   Sample prev_;

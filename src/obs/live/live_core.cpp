@@ -54,8 +54,7 @@ void append_rule_label(std::string& out, const char* metric,
 
 }  // namespace
 
-LiveCore::LiveCore(LiveConfig config, const char* header_tag,
-                   bool keep_history)
+LiveCore::LiveCore(LiveConfig config, const char* header_tag)
     : config_(std::move(config)),
       header_tag_(header_tag),
       decisions_(config_.decision_window),
@@ -63,8 +62,7 @@ LiveCore::LiveCore(LiveConfig config, const char* header_tag,
               {SlidingWindow(config_.window, config_.buckets)},
               {SlidingWindow(config_.window, config_.buckets)}}},
       episode_latency_(config_.window, config_.buckets,
-                       config_.latency_reservoir),
-      keep_history_(keep_history) {
+                       config_.latency_reservoir) {
   const std::vector<std::string> specs =
       config_.rules.empty() ? default_alert_rules() : config_.rules;
   for (const std::string& spec : specs) {
@@ -214,11 +212,11 @@ void LiveCore::render_alerts(std::string& out) const {
 }
 
 void LiveCore::publish(std::size_t start) {
-  // Write-through sends out the snapshot just rendered at `start`; the
-  // history keeps it only when asked to.
+  // Write-through sends out the snapshot just rendered at `start` and
+  // drops it; buffered or target-less cores keep the history.
   if (!has_output_ || !config_.write_through) return;
   write(std::string_view(history_).substr(start));
-  if (!keep_history_) history_.resize(start);
+  history_.resize(start);
 }
 
 void LiveCore::write(std::string_view text) {

@@ -62,9 +62,8 @@ class LiveCore {
   };
 
   /// `header_tag` lands in each snapshot header after t=<now> (the agile
-  /// monitor's " plane=agile"). `keep_history` keeps the snapshot history
-  /// for exposition() even while writing through to a target.
-  LiveCore(LiveConfig config, const char* header_tag, bool keep_history);
+  /// monitor's " plane=agile").
+  LiveCore(LiveConfig config, const char* header_tag);
 
   /// False when a rule spec failed to parse or the exposition target
   /// could not be opened or written; error() lists every failure.
@@ -137,8 +136,8 @@ class LiveCore {
 
   std::uint64_t snapshots() const { return snapshots_; }
   std::uint64_t alerts_fired() const { return alerts_fired_; }
-  /// Snapshot history: everything rendered so far, unless the core writes
-  /// through to a target without `keep_history`.
+  /// Snapshot history: everything rendered so far when buffering or
+  /// without a target; empty while writing through to a target.
   const std::string& exposition() const { return history_; }
   /// Current firing state of rule `name`; false for unknown rules.
   bool alert_firing(const std::string& name) const;
@@ -190,7 +189,6 @@ class LiveCore {
 
   // Exposition output.
   bool has_output_ = false;
-  bool keep_history_;
   std::string history_;
   int fd_ = -1;  // "fd:<n>" target
   bool to_stdout_ = false;

@@ -37,7 +37,7 @@ bool field_bool(const TraceEvent& event, const char* key) {
 }  // namespace
 
 LivePlane::LivePlane(LiveConfig config, TraceSink* downstream)
-    : core_(std::move(config), "", /*keep_history=*/false),
+    : core_(std::move(config), ""),
       downstream_(downstream),
       alive_(static_cast<std::int64_t>(core_.config().node_count)) {}
 

@@ -17,6 +17,9 @@
 //     the 30 s window, then a quiet interval clears it.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -139,18 +142,50 @@ realtor_live_alert_value{rule="help_storm"} 0
   EXPECT_EQ(monitor.exposition(), expected.substr(1));
 }
 
-// The listener runs with the monitor's lock released, so it may read the
-// monitor back (a listener that did so used to deadlock).
-TEST(LiveMonitor, ListenerMayCallBackIntoTheMonitor) {
-  LiveMonitor monitor{LiveMonitorConfig{}};
-  std::vector<bool> seen;
-  monitor.set_alert_listener([&](const obs::live::AlertRule& rule, bool,
-                                 SimTime, double) {
-    seen.push_back(monitor.alert_firing(rule.name));
-  });
-  monitor.observe(sample(10.0, 1, 10, 0, 0, 0, 0.0, 4, 11));
-  EXPECT_EQ(seen, std::vector<bool>{true});
-  EXPECT_EQ(monitor.snapshots(), 1u);
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+// `out` and `write_through` mean what they mean on the simulation plane:
+// write-through rewrites the file with each snapshot and keeps no history;
+// buffered keeps the history and writes all of it when stop() ends the
+// run.
+TEST(LiveMonitor, FileTargetWritesThroughOrBuffersLikeThePlane) {
+  const Clock clock(0.001);  // 1000x: one model second per wall ms
+  std::uint64_t admitted = 0;
+  const LiveMonitor::Sampler sampler = [&admitted] {
+    LiveMonitor::Sample s;
+    s.admitted = ++admitted;
+    return s;
+  };
+  for (const bool write_through : {true, false}) {
+    LiveMonitorConfig config;
+    config.out = ::testing::TempDir() + "live_monitor_target.prom";
+    config.write_through = write_through;
+    LiveMonitor monitor{config};
+    ASSERT_TRUE(monitor.ok()) << monitor.error();
+    monitor.observe(sampler());  // a first snapshot before the thread
+    monitor.start(clock, sampler);
+    monitor.stop();
+    ASSERT_TRUE(monitor.ok()) << monitor.error();
+    ASSERT_GE(monitor.snapshots(), 2u);
+
+    const std::string file = read_file(config.out);
+    std::remove(config.out.c_str());
+    const std::size_t last = file.rfind("# realtor_live snapshot ");
+    ASSERT_NE(last, std::string::npos);
+    EXPECT_NE(file.find(" plane=agile final\n", last), std::string::npos);
+    if (write_through) {
+      EXPECT_EQ(last, 0u) << "only the latest snapshot stays in the file";
+      EXPECT_EQ(monitor.exposition(), "");
+    } else {
+      EXPECT_EQ(file.find("# realtor_live snapshot 1 "), 0u);
+      EXPECT_EQ(file, monitor.exposition());
+    }
+  }
 }
 
 }  // namespace
